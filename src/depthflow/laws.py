@@ -220,18 +220,26 @@ class ParamIncrement:
     epsb: np.ndarray
 
 
-def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int):
+def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
+               cols: int | None = None):
     """Draw ``n`` independent (epsW, epsb) noise pairs for one layer stream.
 
     Shapes: epsW (n, D, D), epsb (n, D). For the general and matrix-normal
     laws the returned noises already carry their configured covariance; for
-    the fully i.i.d. law they are standard normal.
+    the fully i.i.d. law they are standard normal, and ``cols`` asks for
+    the projected sampler's noise instead: epsW (n, D, cols) and epsb, read
+    from one (n, D, cols + 1) draw whose last column is the bias.
     """
     D = law.dim
     if isinstance(law, FullyIidLaw):
+        if cols is not None:
+            z = rng.standard_normal((n, D, cols + 1))
+            return z[..., :cols], z[..., cols]
         epsW = rng.standard_normal((n, D, D))
         epsb = rng.standard_normal((n, D))
         return epsW, epsb
+    if cols is not None:
+        raise ConfigError("only the fully i.i.d. law draws projected noise")
     if isinstance(law, MatrixNormalLaw):
         Z = rng.standard_normal((n, D, D))
         zb = rng.standard_normal((n, D))

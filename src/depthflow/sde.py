@@ -19,8 +19,9 @@ from .errors import ConfigError
 from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
                    conditional_variance, cross_covariance, psd_sqrt,
                    time_change_rescale)
-from .resnet import DRAW_CHUNK, PathBatch, _batched_psd_factor, \
-    _freeze_diverged, _store_plan
+from .resnet import DRAW_CHUNK, ExplosionGuard, PathBatch, \
+    _batched_psd_factor, _freeze_diverged, _projected_term, _store_plan, \
+    choose_sampler
 
 __all__ = [
     "SdeCoefficients", "ExplosionGuard", "NoisePlan", "drift_eval",
@@ -48,13 +49,6 @@ class SdeCoefficients:
 
     def diffusion_factor(self, x: np.ndarray) -> np.ndarray:
         return diffusion_eval(self, x)
-
-
-@dataclass(frozen=True)
-class ExplosionGuard:
-    """Flags trajectories whose norm exceeds the hard cap or goes non-finite."""
-
-    hard_cap: float = 1e6
 
 
 @dataclass(frozen=True)
@@ -149,23 +143,29 @@ def euler_step_coupled(coeffs: SdeCoefficients, states: np.ndarray, dt: float,
 
 
 def _batched_drift(coeffs: SdeCoefficients, psi_states: np.ndarray,
-                   states_shape) -> np.ndarray:
-    """Vectorized drift over a (chunk, N, D) block of states."""
+                   states_shape) -> np.ndarray | float:
+    """Vectorized drift over a (chunk, N, D) block of states.
+
+    The result broadcasts against the states; for the centred fully i.i.d.
+    law the mean term is skipped, so with phi''(0) = 0 it is the scalar 0.
+    """
     law = coeffs.law
-    first = coeffs.phi.dphi0 * (
-        law.mean_b + np.einsum("de,...e->...d", law.mean_W, psi_states))
+    if isinstance(law, FullyIidLaw):
+        first = 0.0
+    else:
+        first = coeffs.phi.dphi0 * (
+            law.mean_b + np.einsum("de,...e->...d", law.mean_W, psi_states))
     if coeffs.phi.ddphi0 == 0.0:
         return first
     if isinstance(law, FullyIidLaw):
         rate = law.sigma_b ** 2 + (law.sigma_w ** 2 / law.dim) * \
             np.einsum("...d,...d->...", psi_states, psi_states)
-        diagV = rate[..., None] * np.ones(law.dim)
+        diagV = rate[..., None]
     elif isinstance(law, MatrixNormalLaw):
         quad = np.einsum("...d,de,...e->...", psi_states, law.SigmaWI,
                          psi_states)
         diagV = np.diag(law.Sigmab) + np.diag(law.SigmaWO) * quad[..., None]
     else:
-        D = law.dim
         S = law._sigma_w4
         M = np.einsum("...i,...j,didj->...d", psi_states, psi_states, S)
         diagV = np.diag(law.Sigmab) + M
@@ -181,9 +181,10 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
 
     Diverged trajectories (non-finite or above the guard's hard cap) are
     flagged and frozen. ``noise`` as in
-    :func:`depthflow.resnet.resnet_forward`: the fully i.i.d. law admits a
-    projected sampler drawing the shared-noise term from its exact joint
-    Gaussian law, used automatically at large width with few inputs.
+    :func:`depthflow.resnet.resnet_forward`: for the fully i.i.d. law with
+    2N <= D the shared-noise term is drawn from its exact joint Gaussian
+    law given the states (D x min(N, D) normals per step); otherwise, or
+    with ``noise="materialized"``, the full D x D weight noise is drawn.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -196,16 +197,7 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
         raise ConfigError(f"x0 rows have length {D}, law dimension is {law.dim}")
     dt = T / L
     sqdt = np.sqrt(dt)
-
-    if noise == "auto":
-        mode = "projected" if (isinstance(law, FullyIidLaw)
-                               and N * N <= D) else "materialized"
-    elif noise in ("materialized", "projected"):
-        if noise == "projected" and not isinstance(law, FullyIidLaw):
-            raise ConfigError("projected noise requires the fully i.i.d. law")
-        mode = noise
-    else:
-        raise ConfigError(f"unknown noise mode {noise!r}")
+    mode = choose_sampler(law, N, D, noise)
 
     keep = _store_plan(L, store_stride)
     states = np.empty((n_draws, N, keep.size, D))
@@ -231,13 +223,8 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
                     epsb = rng.standard_normal((chunk, D))
                     term = _scaled_noise_term(law, px, epsW, epsb)
                 else:
-                    z = rng.standard_normal((chunk, D, N + 1))
-                    G = px @ np.swapaxes(px, 1, 2)
-                    F = _batched_psd_factor(G)
-                    hw = z[:, :, :N] @ F  # F symmetric
-                    term = np.swapaxes(
-                        (law.sigma_w / np.sqrt(D)) * hw
-                        + law.sigma_b * z[:, :, N:], 1, 2)
+                    term = _projected_term(law, rng,
+                                           _batched_psd_factor(px))
                 x_new = x + drift * dt + coeffs.phi.dphi0 * term * sqdt
             x, div = _freeze_diverged(x_new, x, div, cap=guard.hard_cap)
             if kpos < keep.size and keep[kpos] == l + 1:

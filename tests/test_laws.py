@@ -63,6 +63,15 @@ class TestSampling:
         for v in (epsW.ravel().var(ddof=1), epsb.ravel().var(ddof=1)):
             assert abs(v - 1.0) < 3 * np.sqrt(2 / 100_000)
 
+    def test_iid_column_count(self):
+        law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=6)
+        epsW, epsb = sample_eps(law, make_rng(SeedSpec(12, "cols")), 4,
+                                cols=3)
+        assert epsW.shape == (4, 6, 3) and epsb.shape == (4, 6)
+        mn = make_general_law()
+        with pytest.raises(ConfigError):
+            sample_eps(mn, make_rng(SeedSpec(12, "cols")), 4, cols=1)
+
     def test_matrix_normal_diagonal_factors(self):
         law = MatrixNormalLaw(
             muW=np.zeros((2, 2)), mub=np.zeros(2),

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from depthflow import (FeedforwardConfig, FullyIidLaw, ModelConfig, SeedSpec,
-                       eoc_solve, feedforward_forward, ks_two_sample,
-                       resnet_forward, shallow_block_step)
+from depthflow import (ExplosionGuard, FeedforwardConfig, FullyIidLaw,
+                       GeneralGaussianLaw, MatrixNormalLaw, ModelConfig,
+                       SdeCoefficients, SeedSpec, eoc_solve,
+                       feedforward_forward, ks_two_sample, resnet_forward,
+                       shallow_block_step, simulate_paths)
 from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.errors import ConfigError
 from depthflow.laws import ParamIncrement
+from depthflow.resnet import (_batched_psd_factor, _freeze_diverged,
+                              choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -109,19 +113,25 @@ class TestResnetForward:
             msq[L] = float((inc ** 2).mean())
         assert msq[200] / msq[100] == pytest.approx(0.5, rel=0.1)
 
-    def test_projected_matches_materialized_in_law(self):
-        model = iid_model(32, 32)
-        x0 = np.array([[0.0] * 32, [1.0] * 32])
+    # (21, 64) is the corr_heatmap shape; its z * 1 inputs make the layer-0
+    # Gram matrix rank one
+    @pytest.mark.parametrize("N, D, depth", [(2, 32, 32), (21, 64, 16)])
+    def test_projected_matches_materialized_in_law(self, N, D, depth):
+        model = iid_model(depth, D)
+        x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
         a = resnet_forward(model, x0, 4_000, SeedSpec(23, "proj"),
                            noise="materialized")
         b = resnet_forward(model, x0, 4_000, SeedSpec(29, "projb"),
                            noise="projected")
-        for n in range(2):
+        for n in range(N):
             stat, thr = ks_two_sample(a.xT[:, n, 0], b.xT[:, n, 0])
             assert stat <= thr
+        # the gap between the extreme inputs depends on their coupling
+        stat, thr = ks_two_sample(a.xT[:, -1, 0] - a.xT[:, 0, 0],
+                                  b.xT[:, -1, 0] - b.xT[:, 0, 0])
+        assert stat <= thr
 
     def test_projected_requires_iid_law(self):
-        from depthflow import MatrixNormalLaw
         law = MatrixNormalLaw(np.zeros((2, 2)), np.zeros(2), np.eye(2),
                               np.eye(2), np.eye(2))
         model = ModelConfig(depth=2, width=2, horizon=1.0, phi=TANH,
@@ -134,6 +144,149 @@ class TestResnetForward:
         model = iid_model(2, 3)
         with pytest.raises(ConfigError):
             resnet_forward(model, np.zeros((1, 2)), 1, SeedSpec(0))
+
+
+class TestSamplerChoice:
+    def test_iid_law_with_few_inputs_is_projected(self):
+        law = FullyIidLaw(1.0, 1.0, dim=64)
+        assert choose_sampler(law, 2, 64) == "projected"
+        assert choose_sampler(law, 21, 64) == "projected"
+        assert choose_sampler(law, 32, 64) == "projected"
+
+    def test_many_inputs_are_materialized(self):
+        law = FullyIidLaw(1.0, 1.0, dim=64)
+        assert choose_sampler(law, 33, 64) == "materialized"
+        assert choose_sampler(law, 400, 64) == "materialized"
+
+    def test_non_iid_laws_are_materialized(self):
+        D = 4
+        laws = [
+            MatrixNormalLaw(np.zeros((D, D)), np.zeros(D), np.eye(D),
+                            np.eye(D), np.eye(D)),
+            GeneralGaussianLaw(np.zeros((D, D)), np.zeros(D),
+                               np.eye(D * D), np.eye(D)),
+        ]
+        for law in laws:
+            for n in (1, 2, 3):
+                assert choose_sampler(law, n, D) == "materialized"
+
+    def test_explicit_override_kept(self):
+        law = FullyIidLaw(1.0, 1.0, dim=64)
+        assert choose_sampler(law, 2, 64, "materialized") == "materialized"
+        assert choose_sampler(law, 400, 64, "projected") == "projected"
+        with pytest.raises(ConfigError):
+            choose_sampler(law, 2, 64, "eigh")
+
+
+class TestProjectedFactor:
+    # R^T R reproduces the Gram matrix to rounding: QR is backward stable,
+    # so the error is a small multiple of eps * |G|
+    RTOL = 1e-12
+
+    def check(self, px):
+        R = _batched_psd_factor(px)
+        N, D = px.shape[-2:]
+        assert R.shape == px.shape[:-2] + (min(N, D), N)
+        G = px @ np.swapaxes(px, -1, -2)
+        RtR = np.swapaxes(R, -1, -2) @ R
+        scale = max(1.0, float(np.abs(G).max()))
+        assert np.abs(RtR - G).max() <= self.RTOL * scale
+
+    @pytest.mark.parametrize("N", [1, 2, 21, 48, 63])
+    def test_random_states(self, N):
+        rng = np.random.default_rng(N)
+        self.check(np.tanh(rng.standard_normal((5, N, 64))))
+
+    def test_zero_row(self):
+        px = np.random.default_rng(1).standard_normal((3, 4, 16))
+        px[:, 2] = 0.0
+        self.check(px)
+
+    def test_collinear_inputs(self):
+        # the embedded scalar inputs z * 1: rank one
+        z = np.linspace(-2.0, 2.0, 21)
+        px = np.repeat(z[:, None], 64, axis=1)[None]
+        self.check(px)
+        self.check(np.tanh(px))
+
+    def test_all_zero_states(self):
+        self.check(np.zeros((2, 3, 8)))
+
+    def test_more_inputs_than_width(self):
+        self.check(np.random.default_rng(2).standard_normal((2, 10, 4)))
+
+
+def _old_freeze_diverged(x_new, x_old, diverged, cap=None):
+    """The guard before it moved to one sum-of-squares test."""
+    bad = ~np.isfinite(x_new).all(axis=-1)
+    if cap is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bad |= np.linalg.norm(np.nan_to_num(x_new, nan=np.inf,
+                                                posinf=np.inf,
+                                                neginf=-np.inf),
+                                  axis=-1) > cap
+    diverged = diverged | bad
+    out = np.where(diverged[..., None], x_old, x_new)
+    return out, diverged
+
+
+class TestExplosionGuard:
+    def states(self):
+        rng = np.random.default_rng(5)
+        x_old = rng.standard_normal((6, 5, 8))
+        x_new = x_old + rng.standard_normal((6, 5, 8))
+        x_new[0, 0, 3] = np.nan
+        x_new[0, 1, 0] = np.inf
+        x_new[1, 2, 7] = -np.inf
+        x_new[1, 3, :] = [np.inf, -np.inf, np.nan, 0, 1, 2, 3, 4]
+        x_new[2, 0, 1] = 2e6          # finite, over the default cap
+        x_new[2, 4, :] = 4e5          # norm 1.13e6: over by the sum only
+        x_new[3, 1, :] = 1e200        # finite, squares overflow
+        x_new[3, 2, 0] = -1e300
+        x_new[4, 3, :] = 3e5          # norm 8.5e5: under the cap
+        diverged = np.zeros((6, 5), dtype=bool)
+        diverged[5, 0] = True         # flagged at an earlier layer
+        diverged[0, 0] = True
+        return x_new, x_old, diverged
+
+    @pytest.mark.parametrize("cap", [None, 1e6, 10.0])
+    def test_matches_old_guard(self, cap):
+        x_new, x_old, diverged = self.states()
+        want, want_div = _old_freeze_diverged(x_new.copy(), x_old, diverged,
+                                              cap)
+        before = diverged.copy()
+        got, got_div = _freeze_diverged(x_new.copy(), x_old, diverged, cap)
+        assert np.array_equal(got_div, want_div)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(diverged, before)
+
+    def test_uncapped_ignores_overflowing_finite_rows(self):
+        x_new, x_old, diverged = self.states()
+        _, div = _freeze_diverged(x_new, x_old, diverged)
+        assert not div[3, 1] and not div[3, 2] and not div[2, 0]
+        assert div[0, 1] and div[1, 2] and div[1, 3]
+
+    def test_nothing_flagged_returns_new_states(self):
+        x = np.ones((2, 3, 4))
+        out, div = _freeze_diverged(x, np.zeros_like(x),
+                                    np.zeros((2, 3), dtype=bool), cap=1e6)
+        assert out is x and not div.any()
+
+    def test_resnet_and_sde_count_the_same_events(self):
+        # swish grows super-linearly: a small cap makes both samplers
+        # flag draws, and each flags exactly the draws over the cap
+        model = iid_model(16, 8, sigma_w=3.0, sigma_b=3.0, phi=SWISH)
+        x0 = np.full((1, 8), 2.0)
+        guard = ExplosionGuard(hard_cap=20.0)
+        net = resnet_forward(model, x0, 300, SeedSpec(41, "guard/net"),
+                             guard=guard, store_stride=1)
+        sde = simulate_paths(SdeCoefficients(model.law, SWISH, IDENTITY), x0,
+                             16, 1.0, 300, SeedSpec(41, "guard/sde"),
+                             guard=guard, store_stride=1)
+        for batch in (net, sde):
+            assert batch.diverged.any()
+            norms = np.linalg.norm(batch.states, axis=-1)
+            assert (norms <= 20.0).all()
 
 
 class TestFeedforward:

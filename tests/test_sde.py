@@ -227,16 +227,21 @@ class TestSimulatePaths:
         stat, _ = ks_two_sample(base.xT[:, 0, 0], resc.xT[:, 0, 0])
         assert stat <= 0.05
 
-    def test_projected_matches_materialized_in_law(self):
-        coeffs = iid_coeffs(32)
-        x0 = np.vstack([np.zeros(32), np.ones(32)])
-        a = simulate_paths(coeffs, x0, 32, 1.0, 4_000, SeedSpec(15, "pm"),
+    # (21, 64) is the corr_heatmap shape, from rank-one z * 1 inputs
+    @pytest.mark.parametrize("N, D, L", [(2, 32, 32), (21, 64, 16)])
+    def test_projected_matches_materialized_in_law(self, N, D, L):
+        coeffs = iid_coeffs(D)
+        x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
+        a = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(15, "pm"),
                            noise="materialized")
-        b = simulate_paths(coeffs, x0, 32, 1.0, 4_000, SeedSpec(16, "pm2"),
+        b = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(16, "pm2"),
                            noise="projected")
-        for n in range(2):
+        for n in range(N):
             stat, thr = ks_two_sample(a.xT[:, n, 0], b.xT[:, n, 0])
             assert stat <= thr
+        stat, thr = ks_two_sample(a.xT[:, -1, 0] - a.xT[:, 0, 0],
+                                  b.xT[:, -1, 0] - b.xT[:, 0, 0])
+        assert stat <= thr
 
 
 class TestQuadraticCovariation:
