@@ -24,6 +24,10 @@ from .laws import FullyIidLaw, ParamIncrement, sample_eps, scale_eps
 # the reproducibility contract.
 DRAW_CHUNK = 256
 
+# Norm above which a trajectory counts as exploded and is frozen; the
+# residual sampler always uses it, the SDE sampler by default.
+HARD_CAP = 1e6
+
 
 @dataclass(frozen=True)
 class PathBatch:
@@ -97,7 +101,7 @@ def _store_plan(L: int, store_stride: int | None):
 class ExplosionGuard:
     """Flags trajectories whose norm exceeds the hard cap or goes non-finite."""
 
-    hard_cap: float = 1e6
+    hard_cap: float = HARD_CAP
 
 
 def _freeze_diverged(x_new, x_old, diverged, cap=None):
@@ -169,8 +173,7 @@ def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
 def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    seed: SeedSpec, store_stride: int | None = None,
                    noise: str = "auto",
-                   increments: list[ParamIncrement] | None = None,
-                   guard: ExplosionGuard = ExplosionGuard()) -> PathBatch:
+                   increments: list[ParamIncrement] | None = None) -> PathBatch:
     """Propagate N inputs jointly through the residual recursion.
 
     Within a draw one shared parameter sequence drives all inputs, which is
@@ -186,8 +189,8 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
       ``materialized`` otherwise.
 
     Both samplers produce the same trajectory law; they consume different
-    random streams. Draws that go non-finite or whose norm passes the
-    guard's cap are flagged and frozen.
+    random streams. Draws that go non-finite or whose norm passes
+    ``HARD_CAP`` are flagged and frozen.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape
@@ -243,7 +246,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                 h = sqdt * _projected_term(law, rng, R)
             with np.errstate(over="ignore", invalid="ignore"):
                 x_new = x + phi(h)
-            x, div = _freeze_diverged(x_new, x, div, cap=guard.hard_cap)
+            x, div = _freeze_diverged(x_new, x, div, cap=HARD_CAP)
             if kpos < keep.size and keep[kpos] == l + 1:
                 states[start:stop, :, kpos, :] = x
                 kpos += 1

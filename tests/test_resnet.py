@@ -9,8 +9,8 @@ from depthflow import (ExplosionGuard, FeedforwardConfig, FullyIidLaw,
 from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.errors import ConfigError
 from depthflow.laws import ParamIncrement
-from depthflow.resnet import (_batched_psd_factor, _freeze_diverged,
-                              choose_sampler)
+from depthflow.resnet import (HARD_CAP, _batched_psd_factor,
+                              _freeze_diverged, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -273,20 +273,22 @@ class TestExplosionGuard:
         assert out is x and not div.any()
 
     def test_resnet_and_sde_count_the_same_events(self):
-        # swish grows super-linearly: a small cap makes both samplers
-        # flag draws, and each flags exactly the draws over the cap
-        model = iid_model(16, 8, sigma_w=3.0, sigma_b=3.0, phi=SWISH)
+        # swish grows super-linearly: over a long horizon both samplers
+        # pass the default cap, and each flags and freezes the draws that
+        # do, so no stored state lies above it
+        model = iid_model(16, 8, sigma_w=4.0, sigma_b=4.0, phi=SWISH,
+                          horizon=4.0)
         x0 = np.full((1, 8), 2.0)
-        guard = ExplosionGuard(hard_cap=20.0)
         net = resnet_forward(model, x0, 300, SeedSpec(41, "guard/net"),
-                             guard=guard, store_stride=1)
-        sde = simulate_paths(SdeCoefficients(model.law, SWISH, IDENTITY), x0,
-                             16, 1.0, 300, SeedSpec(41, "guard/sde"),
-                             guard=guard, store_stride=1)
+                             store_stride=1)
+        sde = simulate_paths(SdeCoefficients(model.law, SWISH, IDENTITY),
+                             x0, 16, 4.0, 300, SeedSpec(41, "guard/sde"),
+                             store_stride=1)
+        assert ExplosionGuard().hard_cap == HARD_CAP
         for batch in (net, sde):
             assert batch.diverged.any()
             norms = np.linalg.norm(batch.states, axis=-1)
-            assert (norms <= 20.0).all()
+            assert (norms <= HARD_CAP).all()
 
 
 class TestFeedforward:
