@@ -3,7 +3,9 @@
 Usage: ``depthflow <subcommand> --config <path> [--seed N] [--out DIR]
 [--scale desk|paper]``. Exit code 0 on success; on failure a JSON object
 with the machine-readable error category goes to stderr and the exit code
-identifies the category (2 config, 3 format, 4 numerical, 1 other).
+identifies the category (2 config, 3 format, 4 numerical, 1 other). Run
+as a program (:func:`entry`), any other exception is reported as category
+``internal`` with exit code 1.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
@@ -87,5 +90,23 @@ def main(argv=None) -> int:
     return 0
 
 
+def entry(argv=None) -> int:
+    """Process entry point: :func:`main`, reporting a defect as JSON.
+
+    Any exception that is not a :class:`DepthflowError` is a defect, not a
+    bad input; it goes to stderr as category ``internal`` with its
+    traceback, and the exit code is 1. :func:`main` itself lets such
+    exceptions propagate to callers that embed it.
+    """
+    try:
+        return main(argv)
+    except Exception as exc:
+        print(json.dumps({"error": "internal",
+                          "message": f"{type(exc).__name__}: {exc}",
+                          "traceback": traceback.format_exc()}),
+              file=sys.stderr)
+        return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -21,8 +21,9 @@ import yaml
 from .activations import get_activation
 from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DepthflowError
-from .laws import FullyIidLaw
-from .resnet import (DRAW_CHUNK, FeedforwardConfig, eoc_solve,
+from .laws import FullyIidLaw, sample_eps, scale_eps
+from .resnet import (DRAW_CHUNK, HARD_CAP, FeedforwardConfig,
+                     _batched_psd_factor, _freeze_diverged, eoc_solve,
                      feedforward_forward, resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
@@ -114,6 +115,15 @@ def _typed(raw: dict, path: str, key: str, kind, default):
     return value
 
 
+def _typed_list(raw: dict, path: str, key: str, kind, default) -> tuple:
+    """Fetch the non-empty list raw[key], each entry coerced like _typed."""
+    values = raw.pop(key, default)
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{path}.{key}: expected a non-empty list, "
+                          f"got {values!r}")
+    return tuple(_typed({key: v}, path, key, kind, None) for v in values)
+
+
 def _block(raw: dict, key: str) -> dict:
     value = raw.pop(key, {})
     if value is None:
@@ -147,6 +157,9 @@ def _parse_model(raw: dict) -> ModelSpec:
                           f"got {spec.kind!r}")
     if spec.sigma_w2 < 0 or spec.sigma_b2 < 0:
         raise ConfigError("model.sigma_w2/sigma_b2: must be nonnegative")
+    for key in ("depth", "width"):
+        if getattr(spec, key) < 1:
+            raise ConfigError(f"model.{key}: must be >= 1")
     get_activation(spec.activation)
     get_activation(spec.inner)
     return spec
@@ -182,14 +195,15 @@ def _parse_inputs(raw) -> tuple:
 
 
 def _parse_sgd(raw: dict) -> SgdSpec:
-    modes = raw.pop("modes", ["reparametrized", "standard"])
-    depths = raw.pop("depths", [8, 64])
-    widths = raw.pop("widths", [32, 128])
     dataset = _block(raw, "dataset") or dict(SgdSpec().dataset)
+    for key in ("n", "features", "classes", "test_n"):
+        if key in dataset:
+            dataset[key] = _typed(dataset, "train.dataset", key, int, None)
     spec = SgdSpec(
-        modes=tuple(modes),
-        depths=tuple(int(v) for v in depths),
-        widths=tuple(int(v) for v in widths),
+        modes=_typed_list(raw, "train", "modes", str,
+                          ["reparametrized", "standard"]),
+        depths=_typed_list(raw, "train", "depths", int, [8, 64]),
+        widths=_typed_list(raw, "train", "widths", int, [32, 128]),
         learning_rate=_typed(raw, "train", "learning_rate", float, 0.05),
         batch_size=_typed(raw, "train", "batch_size", int, 200),
         epochs=_typed(raw, "train", "epochs", int, 1),
@@ -540,10 +554,10 @@ def _sgd_dataset(spec: SgdSpec, seed: int):
     opts = dict(spec.dataset)
     kind = opts.get("kind", "toy_blobs")
     if kind == "toy_blobs":
-        n = int(opts.get("n", 10000))
-        test_n = int(opts.get("test_n", 2000))
-        full = toy_blobs(n + test_n, int(opts.get("features", 16)),
-                         int(opts.get("classes", 10)), seed=seed)
+        n = opts.get("n", 10000)
+        test_n = opts.get("test_n", 2000)
+        full = toy_blobs(n + test_n, opts.get("features", 16),
+                         opts.get("classes", 10), seed=seed)
         train = Dataset(full.inputs[:n], full.targets[:n], "train")
         test = Dataset(full.inputs[n:], full.targets[n:], "test")
         return train, test
@@ -558,9 +572,9 @@ def _sgd_dataset(spec: SgdSpec, seed: int):
                               f"for the idx dataset kind")
         except OSError as exc:
             raise ConfigError(f"train.dataset: {exc}")
-        n = int(opts.get("n", train.n))
+        n = opts.get("n", train.n)
         train = Dataset(train.inputs[:n], train.targets[:n], "train")
-        test_n = int(opts.get("test_n", test.n))
+        test_n = opts.get("test_n", test.n)
         test = Dataset(test.inputs[:test_n], test.targets[:test_n], "test")
         return train, test
     raise ConfigError(f"train.dataset.kind: unknown kind {kind!r}")
@@ -605,48 +619,84 @@ def run_sgd(cfg: ExperimentConfig) -> dict:
 
 def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
                  n_draws: int, eoc_sigma_b2: float = 0.05,
-                 select: dict | None = None) -> np.ndarray:
+                 select: dict | None = None,
+                 z_grid: np.ndarray | None = None) -> np.ndarray:
     """First-coordinate outputs x_{T,1}(z) for scalar inputs z = W_I z.
 
-    The input layer W_I (one N(0,1) column per draw) and the per-layer
-    parameter noises come from chunk-indexed streams, so any subset of
-    draws can be replayed exactly by regenerating its chunks; ``select``
-    maps chunk index -> within-chunk draw indexes to keep.
+    Without ``select``: every draw's outputs at the observation inputs
+    ``z_values``, each layer drawn as Z R + b (see resnet._projected_term)
+    with psi(X)^T = Q R and Z a D x min(N, D) normal.
+
+    ``select`` maps chunk index -> within-chunk draw indexes to keep; the
+    result holds those draws' outputs at ``z_grid``. Their observation
+    trajectories are replayed bit for bit, and each layer's weights are
+    completed as W = Z Q^T + E (I - Q Q^T), E a D x D normal from a
+    per-draw stream. For i.i.d. Gaussian W, W Q and W (I - Q Q^T) are
+    independent, so W keeps its law given the observation outputs. The
+    diffusion arm freezes at ``HARD_CAP``, the eoc arm on non-finite rows.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
     psi = get_activation(spec.inner)
-    z = np.asarray(z_values, dtype=float)
     if spec.kind == "eoc":
-        sw = float(np.sqrt(eoc_solve(phi, eoc_sigma_b2) / D))
-        sb = float(np.sqrt(eoc_sigma_b2))
+        sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
+        cap = None
     else:
         dt = spec.horizon / L
-        sw = float(np.sqrt(spec.sigma_w2 * dt / D))
-        sb = float(np.sqrt(spec.sigma_b2 * dt))
+        sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
+        cap = HARD_CAP
+    law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
+                      sigma_b=float(np.sqrt(sigma_b2)), dim=D)
+    sw = law.sigma_w / np.sqrt(D)
+    complement = seed.with_stream(experiment=seed.experiment + "/complement")
+
+    def step(x, h, div):
+        # h is a temporary, so the residual sum may reuse it in place
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = phi(h)
+            if spec.kind == "diffusion":
+                x_new += x
+        return _freeze_diverged(x_new, x, div, cap=cap)
+
+    z = np.asarray(z_values, dtype=float)
     pieces = []
     for start in range(0, n_draws, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n_draws)
-        chunk = stop - start
+        chunk = min(DRAW_CHUNK, n_draws - start)
         rep = start // DRAW_CHUNK
-        if select is not None:
-            if rep not in select:
-                continue
+        if select is None:
+            sel = slice(None)
+        elif rep in select:
             sel = np.asarray(select[rep], dtype=int)
         else:
-            sel = np.arange(chunk)
+            continue
         rng_in = make_rng(seed.with_stream(
             experiment=seed.experiment + "/input", replicate=rep))
         W_I = rng_in.standard_normal((chunk, D))[sel]
         x = z[None, :, None] * W_I[:, None, :]
+        div = np.zeros(x.shape[:2], dtype=bool)
+        if select is not None:
+            g = z_grid[None, :, None] * W_I[:, None, :]
+            gdiv = np.zeros(g.shape[:2], dtype=bool)
         for l in range(L):
             rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            epsW = rng.standard_normal((chunk, D, D))[sel]
-            epsb = rng.standard_normal((chunk, D))[sel]
-            h = sw * np.einsum("cde,cne->cnd", epsW, psi(x)) \
-                + sb * epsb[:, None, :]
-            x = x + phi(h) if spec.kind == "diffusion" else phi(h)
-        pieces.append(x[:, :, 0])
+            if select is None:
+                R = _batched_psd_factor(psi(x))
+            else:
+                # the same R, bit for bit, as the "r" mode of pass 1
+                Q, R = np.linalg.qr(np.swapaxes(psi(x), -1, -2))
+            epsW, epsb = sample_eps(law, rng, chunk, cols=R.shape[-2])
+            sW, sb = scale_eps(law, epsW[sel], epsb[sel])
+            if select is not None:
+                E = sw * np.stack([make_rng(complement.with_stream(
+                    replicate=start + int(d), layer=l)).standard_normal((D, D))
+                    for d in sel])
+                W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
+                hg = psi(g) @ np.swapaxes(W, -1, -2)
+                hg += sb[:, None, :]
+                g, gdiv = step(g, hg, gdiv)
+            h = np.swapaxes(sW @ R, -1, -2) + sb[:, None, :]
+            x, div = step(x, h, div)
+        pieces.append((x if select is None else g)[:, :, 0])
     return np.concatenate(pieces, axis=0)
 
 
@@ -677,8 +727,9 @@ def _abc_arm(cfg: ExperimentConfig, spec: ModelSpec, arm: str) -> dict:
     select = {}
     for d in wanted:
         select.setdefault(int(d) // DRAW_CHUNK, []).append(int(d) % DRAW_CHUNK)
-    funcs = _abc_outputs(spec, z, seed, abc.prior_draws,
-                         eoc_sigma_b2=abc.eoc_sigma_b2, select=select)
+    funcs = _abc_outputs(spec, z[idx], seed, abc.prior_draws,
+                         eoc_sigma_b2=abc.eoc_sigma_b2, select=select,
+                         z_grid=z)
     row_of = {int(d): r for r, d in enumerate(sorted(wanted))}
 
     out = Path(cfg.out)

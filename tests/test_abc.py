@@ -1,0 +1,155 @@
+"""The ABC sampler: exact projected draws at the observation inputs, weight
+completion for the kept draws, checked against the materialized loop."""
+
+import csv
+
+import numpy as np
+import pytest
+
+from depthflow.activations import get_activation
+from depthflow.config import SeedSpec, make_rng
+from depthflow.experiments import (ModelSpec, _abc_outputs, parse_config,
+                                   run_experiment)
+from depthflow.resnet import DRAW_CHUNK, HARD_CAP, eoc_solve
+from depthflow.stats import ks_two_sample
+
+GRID = np.linspace(-2.0, 2.0, 9)
+
+
+def materialized_abc_outputs(spec, z_values, seed, n_draws,
+                             eoc_sigma_b2=0.05):
+    """Law oracle: the full D x D weight noise per (chunk, layer), no guard."""
+    D, L = spec.width, spec.depth
+    phi = get_activation(spec.activation)
+    psi = get_activation(spec.inner)
+    z = np.asarray(z_values, dtype=float)
+    if spec.kind == "eoc":
+        sw = float(np.sqrt(eoc_solve(phi, eoc_sigma_b2) / D))
+        sb = float(np.sqrt(eoc_sigma_b2))
+    else:
+        dt = spec.horizon / L
+        sw = float(np.sqrt(spec.sigma_w2 * dt / D))
+        sb = float(np.sqrt(spec.sigma_b2 * dt))
+    pieces = []
+    for start in range(0, n_draws, DRAW_CHUNK):
+        chunk = min(start + DRAW_CHUNK, n_draws) - start
+        rep = start // DRAW_CHUNK
+        rng_in = make_rng(seed.with_stream(
+            experiment=seed.experiment + "/input", replicate=rep))
+        W_I = rng_in.standard_normal((chunk, D))
+        x = z[None, :, None] * W_I[:, None, :]
+        for l in range(L):
+            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
+            epsW = rng.standard_normal((chunk, D, D))
+            epsb = rng.standard_normal((chunk, D))
+            h = sw * np.einsum("cde,cne->cnd", epsW, psi(x)) \
+                + sb * epsb[:, None, :]
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = x + phi(h) if spec.kind == "diffusion" else phi(h)
+        pieces.append(x[:, :, 0])
+    return np.concatenate(pieces, axis=0)
+
+
+def abc_spec(kind, width=16, depth=16):
+    # the shipped abc_regression model at a smaller size
+    return ModelSpec(kind=kind, activation="tanh", inner="identity",
+                     sigma_w2=10.0, sigma_b2=10.0, depth=depth, width=width)
+
+
+def select_all(n_draws):
+    return {rep: list(range(min(DRAW_CHUNK, n_draws - rep * DRAW_CHUNK)))
+            for rep in range(-(-n_draws // DRAW_CHUNK))}
+
+
+@pytest.mark.parametrize("arm", ["diffusion", "eoc"])
+def test_posterior_distances_repeat_pass_one(tmp_path, arm):
+    obs = [[-1.0, 0.5], [0.0, -0.2], [1.0, 0.8]]
+    cfg = parse_config({
+        "experiment": "abc", "seed": 5, "out": str(tmp_path),
+        "model": {"sigma_w2": 10.0, "sigma_b2": 10.0, "depth": 16,
+                  "width": 16},
+        "inputs": {"grid": {"start": -2.0, "stop": 2.0, "points": 41}},
+        "functions": 4,
+        "abc": {"observations": obs, "prior_draws": 600, "keep": 5},
+    })
+    res = run_experiment(cfg)[arm]
+    suffix = "" if arm == "diffusion" else "_eoc"
+    with open(tmp_path / f"posterior{suffix}.csv") as f:
+        rows = list(csv.DictReader(f))
+    at_obs = {}
+    for row in rows:
+        for k, (z, _) in enumerate(obs):
+            if float(row["z"]) == z:
+                at_obs.setdefault(int(row["draw"]), [0.0] * 3)[k] = \
+                    float(row["value"])
+    assert sorted(at_obs) == res["accepted"].tolist()
+    y = np.array([p[1] for p in obs])
+    recomputed = [np.linalg.norm(np.array(at_obs[d]) - y)
+                  for d in res["accepted"]]
+    np.testing.assert_allclose(recomputed, res["distances"][res["accepted"]],
+                               rtol=0, atol=1e-12)
+
+
+# (arm, observation inputs, width): the regular case, rank-deficient
+# observations (z = 0 and a repeated z), and more observations than width
+LAW_CASES = [
+    ("diffusion", (-1.0, 0.0, 1.0), 16),
+    ("eoc", (-1.0, 0.0, 1.0), 16),
+    ("diffusion", (0.0, 1.0, 1.0), 16),
+    ("eoc", (0.0, 1.0, 1.0), 16),
+    ("diffusion", (-1.0, 0.0, 1.0), 2),
+]
+
+
+@pytest.mark.parametrize("arm, z_obs, width", LAW_CASES)
+def test_completed_functions_match_materialized_in_law(arm, z_obs, width):
+    # kept from every draw, the completed functions are prior draws
+    spec = abc_spec(arm, width=width)
+    n = 2048
+    a = materialized_abc_outputs(spec, GRID, SeedSpec(31, "oracle"), n)
+    b = _abc_outputs(spec, np.array(z_obs), SeedSpec(37, "abc"), n,
+                     select=select_all(n), z_grid=GRID)
+    assert b.shape == (n, GRID.size)
+    for k in range(GRID.size):
+        stat, thr = ks_two_sample(a[:, k], b[:, k])
+        assert stat <= thr, (k, stat, thr)
+    # the gap between the extreme inputs depends on their coupling
+    stat, thr = ks_two_sample(a[:, -1] - a[:, 0], b[:, -1] - b[:, 0])
+    assert stat <= thr
+
+
+@pytest.mark.parametrize("arm, z_obs, width", LAW_CASES)
+def test_pass_two_repeats_pass_one_at_observations(arm, z_obs, width):
+    spec = abc_spec(arm, width=width)
+    z = np.array(z_obs)
+    seed = SeedSpec(43, "abc")
+    first = _abc_outputs(spec, z, seed, 600)
+    assert np.isfinite(first).all()
+    select = {0: [0, 7, 255], 2: [3, 87]}
+    rows = [0, 7, 255, 515, 599]
+    again = _abc_outputs(spec, z, seed, 600, select=select, z_grid=z)
+    np.testing.assert_allclose(again, first[rows], rtol=0, atol=1e-12)
+
+
+def test_kept_draw_does_not_depend_on_the_others():
+    spec = abc_spec("diffusion")
+    z, seed = np.array([-1.0, 0.0, 1.0]), SeedSpec(47, "abc")
+    alone = _abc_outputs(spec, z, seed, 600, select={0: [3]}, z_grid=GRID)
+    among = _abc_outputs(spec, z, seed, 600,
+                         select={0: [1, 3, 200], 1: [0]}, z_grid=GRID)
+    assert np.array_equal(alone[0], among[1])
+
+
+def test_diffusion_arm_freezes_at_the_cap():
+    # swish grows super-linearly: over a long horizon draws pass the cap,
+    # and the guard freezes them below it in both passes
+    spec = ModelSpec(kind="diffusion", activation="swish", sigma_w2=16.0,
+                     sigma_b2=16.0, depth=16, width=8, horizon=8.0)
+    z, seed = np.array([2.0]), SeedSpec(41, "abc")
+    unguarded = materialized_abc_outputs(spec, z, seed, 300)
+    assert not (np.abs(unguarded) <= HARD_CAP).all()
+    first = _abc_outputs(spec, z, seed, 300)
+    grid = _abc_outputs(spec, z, seed, 300, select=select_all(300),
+                        z_grid=np.array([-2.0, 2.0]))
+    for out in (first, grid):
+        assert (np.abs(out) <= HARD_CAP).all()

@@ -7,7 +7,7 @@ import yaml
 
 from depthflow import (ExperimentConfig, apply_overrides, load_config,
                        parse_config, run_experiment, save_config)
-from depthflow.cli import main
+from depthflow.cli import entry, main
 from depthflow.errors import ConfigError
 from depthflow.experiments import (fmt, read_svg_matrix, svg_heatmap,
                                    write_csv)
@@ -55,6 +55,23 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.depth"):
             parse_config({"experiment": "abc",
                           "model": {"depth": "many"}})
+
+    @pytest.mark.parametrize("key", ["depth", "width"])
+    def test_nonpositive_model_size_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"model.{key}"):
+            parse_config({"experiment": "abc", "model": {key: 0}})
+
+    @pytest.mark.parametrize("train, where", [
+        ({"depths": ["eight"]}, "train.depths"),
+        ({"widths": [32, 1.5]}, "train.widths"),
+        ({"depths": 8}, "train.depths"),
+        ({"modes": [None]}, "train.modes"),
+        ({"dataset": {"kind": "toy_blobs", "n": "many"}}, "train.dataset.n"),
+        ({"dataset": {"kind": "idx", "test_n": [1]}}, "train.dataset.test_n"),
+    ])
+    def test_train_entries_coerced(self, train, where):
+        with pytest.raises(ConfigError, match=where):
+            parse_config({"experiment": "sgd", "train": train})
 
     def test_grid_inputs_expand(self):
         cfg = parse_config({"experiment": "corr_heatmap",
@@ -226,3 +243,42 @@ class TestCliEntry:
         path.write_text("experiment: [unclosed")
         code = main(["sanity_check", "--config", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("key", ["depth", "width"])
+    def test_nonpositive_model_size_leaves_no_directory(self, tmp_path,
+                                                        capsys, key):
+        raw = tiny_overrides("abc", tmp_path / "o",
+                             abc={"observations": [[0.0, 0.2]],
+                                  "prior_draws": 20, "keep": 2})
+        raw["model"][key] = 0
+        code = main(["abc", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_bad_train_depths_report_config_error(self, tmp_path, capsys):
+        raw = tiny_overrides("sgd", tmp_path / "o",
+                             train={"depths": ["eight"]})
+        code = main(["sgd", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "train.depths" in err["message"]
+
+    def test_unexpected_exception_reported_as_internal(self, tmp_path,
+                                                       capsys, monkeypatch):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("depthflow.cli.run_experiment", broken)
+        path = write_config(tmp_path,
+                            tiny_overrides("sanity_check", tmp_path / "o"))
+        argv = ["sanity_check", "--config", str(path)]
+        # embedders of main see the exception itself
+        with pytest.raises(RuntimeError, match="boom"):
+            main(argv)
+        code = entry(argv)
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "internal"
+        assert err["message"] == "RuntimeError: boom"
