@@ -2,16 +2,15 @@
 and their limiting stochastic differential equations."""
 
 from .activations import (Activation, IDENTITY, RELU, SWISH, TANH,
-                          activation_eval, get_activation)
+                          get_activation)
 from .config import ModelConfig, SeedSpec, make_rng
-from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw,
-                   ParamIncrement, ParamLaw, conditional_variance,
-                   cross_covariance, psd_sqrt, sample_increments,
+from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
+                   conditional_variance, cross_covariance, psd_sqrt,
                    time_change_rescale)
 from .resnet import (FeedforwardConfig, PathBatch, eoc_solve,
-                     feedforward_forward, resnet_forward, shallow_block_step)
-from .sde import (ExplosionGuard, NoisePlan, SdeCoefficients, diffusion_eval,
-                  drift_eval, euler_step_coupled, euler_step_decoupled,
+                     feedforward_forward, resnet_forward)
+from .sde import (SdeCoefficients, diffusion_eval, drift_eval,
+                  euler_step_coupled, euler_step_decoupled,
                   linear_growth_check, simulate_paths)
 from .experiments import (AbcSpec, ExperimentConfig, ModelSpec, SgdSpec,
                           apply_overrides, load_config, parse_config,

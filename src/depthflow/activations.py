@@ -97,12 +97,3 @@ def get_activation(name: str) -> Activation:
         raise ConfigError(
             f"unknown activation {name!r}; registered: {sorted(_REGISTRY)}"
         ) from None
-
-
-def registered_activations() -> tuple[str, ...]:
-    return tuple(sorted(_REGISTRY))
-
-
-def activation_eval(phi: Activation, x: float) -> float:
-    """Evaluate ``phi`` at a scalar ``x``. Pure and deterministic."""
-    return float(phi.fn(np.asarray(x, dtype=float)))

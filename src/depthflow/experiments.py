@@ -262,7 +262,20 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _reject_unknown(raw, "")
     if cfg.draws < 2:
         raise ConfigError("draws: must be >= 2")
+    if cfg.kind == "abc":
+        _check_observations(cfg)
     return cfg
+
+
+def _check_observations(cfg: ExperimentConfig):
+    """ABC needs observations, each at one of the evaluation inputs."""
+    if not cfg.abc.observations:
+        raise ConfigError("abc.observations: at least one [z, y] pair needed")
+    z = np.asarray(cfg.inputs)
+    for zo, _ in cfg.abc.observations:
+        if not (np.abs(z - zo) <= 1e-9).any():
+            raise ConfigError(f"abc.observations: input {zo!r} is not on the "
+                              f"evaluation grid")
 
 
 def load_config(path) -> ExperimentConfig:
@@ -705,13 +718,8 @@ def _abc_arm(cfg: ExperimentConfig, spec: ModelSpec, arm: str) -> dict:
     z = np.asarray(cfg.inputs)
     obs_z = np.array([p[0] for p in abc.observations])
     obs_y = np.array([p[1] for p in abc.observations])
-    idx = []
-    for zo in obs_z:
-        hits = np.flatnonzero(np.abs(z - zo) <= 1e-9)
-        if hits.size == 0:
-            raise ConfigError(f"abc.observations: input {zo!r} is not on the "
-                              f"evaluation grid")
-        idx.append(int(hits[0]))
+    # parse_config put every observation on the grid
+    idx = [int(np.flatnonzero(np.abs(z - zo) <= 1e-9)[0]) for zo in obs_z]
     seed = SeedSpec(cfg.seed, f"abc/{arm}")
 
     # pass 1: outputs at the observation inputs only, for every prior draw
@@ -760,8 +768,6 @@ def run_abc(cfg: ExperimentConfig) -> dict:
     Runs the configured diffusion prior plus a feedforward comparison arm
     initialized at the depth-correlation critical point.
     """
-    if not cfg.abc.observations:
-        raise ConfigError("abc.observations: at least one [z, y] pair needed")
     diff = _abc_arm(cfg, cfg.model, "diffusion")
     eoc_spec = dataclasses.replace(cfg.model, kind="eoc")
     eoc = _abc_arm(cfg, eoc_spec, "eoc")

@@ -22,7 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import SeedSpec, make_rng
+# make_rng is unused here; perfbench/test_selftest.py looks it up here
+from .config import make_rng  # noqa: F401
 from .errors import ConfigError, NotPsdError
 
 GENERAL_LAW_WIDTH_CAP = 64
@@ -205,21 +206,6 @@ class FullyIidLaw:
 ParamLaw = GeneralGaussianLaw | MatrixNormalLaw | FullyIidLaw
 
 
-@dataclass(frozen=True)
-class ParamIncrement:
-    """One layer's weight/bias increments and the raw noises behind them.
-
-    ``dW = mean_W*dt + scaled(epsW)*sqrt(dt)`` holds exactly by
-    construction; ``epsW``/``epsb`` are standardized (identity covariance)
-    for the fully i.i.d. law and Sigma-distributed otherwise.
-    """
-
-    dW: np.ndarray
-    db: np.ndarray
-    epsW: np.ndarray
-    epsb: np.ndarray
-
-
 def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
                cols: int | None = None):
     """Draw ``n`` independent (epsW, epsb) noise pairs for one layer stream.
@@ -266,27 +252,6 @@ def scale_eps(law: ParamLaw, epsW: np.ndarray, epsb: np.ndarray):
     if isinstance(law, FullyIidLaw):
         return (law.sigma_w / np.sqrt(law.dim)) * epsW, law.sigma_b * epsb
     return epsW, epsb
-
-
-def sample_increments(law: ParamLaw, dt: float, n_layers: int,
-                      seed: SeedSpec) -> list[ParamIncrement]:
-    """Sample one replicate's layer increments, one stream per layer."""
-    if not dt > 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    sqdt = np.sqrt(dt)
-    out = []
-    for l in range(n_layers):
-        rng = make_rng(seed.with_stream(layer=seed.layer + l))
-        epsW, epsb = sample_eps(law, rng, 1)
-        epsW, epsb = epsW[0], epsb[0]
-        sW, sb = scale_eps(law, epsW, epsb)
-        out.append(ParamIncrement(
-            dW=law.mean_W * dt + sW * sqdt,
-            db=law.mean_b * dt + sb * sqdt,
-            epsW=epsW,
-            epsb=epsb,
-        ))
-    return out
 
 
 def _check_vector(v, D: int, name: str) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Discrete-depth forward propagation.
 
 Implements the identity-ResNet recursion with depth-scaled random
-parameters, the generic shallow residual block, and the i.i.d. feedforward
-edge-of-chaos baseline. All samplers are chunked over draws with one noise
-stream per (chunk, layer), so results are reproducible and independent of
-how work is scheduled.
+parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, and the
+SDE sampler in :mod:`depthflow.sde`, run on one propagation kernel
+(:func:`_propagate`), chunked over draws with one noise stream per
+(chunk, layer), so results are reproducible and independent of how work is
+scheduled.
 """
 
 from __future__ import annotations
@@ -17,15 +18,15 @@ import numpy as np
 from .activations import Activation
 from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, SolverError
-from .laws import FullyIidLaw, ParamIncrement, sample_eps, scale_eps
+from .laws import FullyIidLaw, sample_eps, scale_eps
 
 # Draws are processed in fixed-size chunks; the chunk index is the
 # replicate component of the noise stream id, so the constant is part of
 # the reproducibility contract.
 DRAW_CHUNK = 256
 
-# Norm above which a trajectory counts as exploded and is frozen; the
-# residual sampler always uses it, the SDE sampler by default.
+# Norm above which a trajectory counts as exploded and is frozen, in both
+# the residual and the SDE sampler.
 HARD_CAP = 1e6
 
 
@@ -77,15 +78,6 @@ class FeedforwardConfig:
             raise ConfigError("variances must be nonnegative")
 
 
-def shallow_block_step(phi: Activation, psi: Activation, A: np.ndarray,
-                       a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """One residual block: x + phi(A psi(x) + a), activations element-wise."""
-    A = np.asarray(A, dtype=float)
-    a = np.asarray(a, dtype=float)
-    x = np.asarray(x, dtype=float)
-    return x + phi(A @ psi(x) + a)
-
-
 def _store_plan(L: int, store_stride: int | None):
     """Indices of the stored time steps (always includes 0 and L)."""
     if store_stride is None:
@@ -95,13 +87,6 @@ def _store_plan(L: int, store_stride: int | None):
             raise ConfigError("store_stride must be >= 1")
         idx = list(range(0, L, store_stride)) + [L]
     return np.unique(np.asarray(idx, dtype=int))
-
-
-@dataclass(frozen=True)
-class ExplosionGuard:
-    """Flags trajectories whose norm exceeds the hard cap or goes non-finite."""
-
-    hard_cap: float = HARD_CAP
 
 
 def _freeze_diverged(x_new, x_old, diverged, cap=None):
@@ -148,7 +133,9 @@ def _projected_term(law: FullyIidLaw, rng: np.random.Generator,
     """
     epsW, epsb = sample_eps(law, rng, R.shape[0], cols=R.shape[-2])
     sW, sb = scale_eps(law, epsW, epsb)
-    return np.swapaxes(sW @ R, -1, -2) + sb[:, None, :]
+    # C order: the SDE step builds its next state in this buffer, and the
+    # drift's einsum over the state sums in a layout-dependent order
+    return np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], order="C")
 
 
 def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
@@ -170,10 +157,51 @@ def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
     return noise
 
 
+def _propagate(x0: np.ndarray, n_draws: int, seed: SeedSpec, depth: int,
+               dt: float, step, cap: float | None = None,
+               store_stride: int | None = None) -> PathBatch:
+    """Run ``depth`` steps of ``step`` on N inputs for ``n_draws`` draws.
+
+    ``x0`` is the (N, D) initial state shared by every draw. Draws run in
+    chunks of ``DRAW_CHUNK``; layer ``l`` of chunk ``c`` reads its noise
+    from the stream ``seed.with_stream(replicate=c, layer=l)``, so the
+    trajectories of a whole chunk do not depend on how many draws run.
+    ``step(x, rng, l)`` maps the (chunk, N, D) states to the next ones,
+    with overflow and invalid-value warnings off; rows that go non-finite
+    or whose norm passes ``cap`` are flagged and frozen
+    (:func:`_freeze_diverged`). States are stored at step 0, every
+    ``store_stride`` steps and the last step, at times ``step * dt``.
+    """
+    if n_draws < 1:
+        raise ConfigError("n_draws must be >= 1")
+    N, D = x0.shape
+    keep = _store_plan(depth, store_stride)
+    states = np.empty((n_draws, N, keep.size, D))
+    diverged = np.zeros((n_draws, N), dtype=bool)
+
+    for start in range(0, n_draws, DRAW_CHUNK):
+        stop = min(start + DRAW_CHUNK, n_draws)
+        rep = start // DRAW_CHUNK
+        x = np.broadcast_to(x0, (stop - start, N, D)).copy()
+        div = np.zeros((stop - start, N), dtype=bool)
+        states[start:stop, :, 0, :] = x
+        kpos = 1
+        for l in range(depth):
+            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = step(x, rng, l)
+            x, div = _freeze_diverged(x_new, x, div, cap=cap)
+            if kpos < keep.size and keep[kpos] == l + 1:
+                states[start:stop, :, kpos, :] = x
+                kpos += 1
+        diverged[start:stop] = div
+
+    return PathBatch(times=keep * dt, states=states, diverged=diverged)
+
+
 def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    seed: SeedSpec, store_stride: int | None = None,
-                   noise: str = "auto",
-                   increments: list[ParamIncrement] | None = None) -> PathBatch:
+                   noise: str = "auto") -> PathBatch:
     """Propagate N inputs jointly through the residual recursion.
 
     Within a draw one shared parameter sequence drives all inputs, which is
@@ -196,64 +224,35 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
     N, D = x0_batch.shape
     if D != config.width:
         raise ConfigError(f"x0 rows have length {D}, model width is {config.width}")
-    if n_draws < 1:
-        raise ConfigError("n_draws must be >= 1")
-    L = config.depth
     dt = config.dt
+    sqdt = np.sqrt(dt)
     law = config.law
     phi, psi = config.phi, config.psi
-
-    if increments is not None:
-        if len(increments) != L:
-            raise ConfigError(f"need {L} increments, got {len(increments)}")
-        mode = "forced"
-    else:
-        mode = choose_sampler(law, N, D, noise)
+    mode = choose_sampler(law, N, D, noise)
     centred = isinstance(law, FullyIidLaw)
 
-    keep = _store_plan(L, store_stride)
-    states = np.empty((n_draws, N, keep.size, D))
-    diverged = np.zeros((n_draws, N), dtype=bool)
-    sqdt = np.sqrt(dt)
+    def step(x, rng, l):
+        if mode == "materialized":
+            epsW, epsb = sample_eps(law, rng, x.shape[0])
+            dW, db = scale_eps(law, epsW, epsb)
+            # in place, here and below: a fresh (chunk, D, D) or
+            # (chunk, N, D) temporary per operation costs page faults and
+            # time at large chunk x N x D
+            dW *= sqdt
+            db *= sqdt
+            if not centred:
+                dW += law.mean_W * dt
+                db += law.mean_b * dt
+            h = psi(x) @ np.swapaxes(dW, 1, 2)
+            h += db[:, None, :]
+        else:
+            h = sqdt * _projected_term(law, rng, _batched_psd_factor(psi(x)))
+        y = phi(h)
+        y += x
+        return y
 
-    for start in range(0, n_draws, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n_draws)
-        chunk = stop - start
-        rep = start // DRAW_CHUNK
-        x = np.broadcast_to(x0_batch, (chunk, N, D)).copy()
-        div = np.zeros((chunk, N), dtype=bool)
-        kpos = 0
-        if keep[0] == 0:
-            states[start:stop, :, 0, :] = x
-            kpos = 1
-        for l in range(L):
-            if mode == "forced":
-                inc = increments[l]
-                h = np.einsum("de,cne->cnd", inc.dW, psi(x)) + inc.db
-            elif mode == "materialized":
-                rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-                epsW, epsb = sample_eps(law, rng, chunk)
-                sW, sb = scale_eps(law, epsW, epsb)
-                dW = sW * sqdt
-                db = sb * sqdt
-                if not centred:
-                    dW += law.mean_W * dt
-                    db += law.mean_b * dt
-                h = psi(x) @ np.swapaxes(dW, 1, 2) + db[:, None, :]
-            else:  # projected
-                rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-                R = _batched_psd_factor(psi(x))
-                h = sqdt * _projected_term(law, rng, R)
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_new = x + phi(h)
-            x, div = _freeze_diverged(x_new, x, div, cap=HARD_CAP)
-            if kpos < keep.size and keep[kpos] == l + 1:
-                states[start:stop, :, kpos, :] = x
-                kpos += 1
-        diverged[start:stop] = div
-
-    times = keep * dt
-    return PathBatch(times=times, states=states, diverged=diverged)
+    return _propagate(x0_batch, n_draws, seed, config.depth, dt, step,
+                      cap=HARD_CAP, store_stride=store_stride)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
@@ -261,53 +260,37 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
                         noise: str = "auto") -> PathBatch:
     """Propagate inputs through the i.i.d. feedforward baseline.
 
-    Recursion x_{l+1} = phi(A_l x_l + a_l) with A entries
-    N(0, sigma_w2/width) and a entries N(0, sigma_b2); parameters are
-    shared across the batch within a draw. The stored final state is the
-    last layer's pre-activation A_L x_{L-1} + a_L (the quantity whose
-    depth-correlation structure the critical initialization preserves);
-    only the input and that final layer are stored. ``noise`` as in
-    :func:`resnet_forward`; only non-finite draws are flagged.
+    Recursion h_{l+1} = A_l phi(h_l) + a_l from h_0 = x_0 (the first layer
+    reads the input itself), with A entries N(0, sigma_w2/width) and a
+    entries N(0, sigma_b2); parameters are shared across the batch within
+    a draw. The stored final state is the last layer's pre-activation (the
+    quantity whose depth-correlation structure the critical initialization
+    preserves); only the input and that final layer are stored, at times
+    0 and depth. ``noise`` as in :func:`resnet_forward`. A draw is flagged
+    when its pre-activation goes non-finite, and then stores its last
+    finite one.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape
     if D != cfg.width:
         raise ConfigError(f"x0 rows have length {D}, width is {cfg.width}")
-    L = cfg.depth
     phi = cfg.activation
     sw = np.sqrt(cfg.sigma_w2 / D)
     sb = np.sqrt(cfg.sigma_b2)
     law = FullyIidLaw(sigma_w=np.sqrt(cfg.sigma_w2), sigma_b=sb, dim=D)
     mode = choose_sampler(law, N, D, noise)
 
-    states = np.empty((n_draws, N, 2, D))
-    diverged = np.zeros((n_draws, N), dtype=bool)
+    def step(h, rng, l):
+        x = h if l == 0 else phi(h)
+        if mode == "projected":
+            return _projected_term(law, rng, _batched_psd_factor(x))
+        A = sw * rng.standard_normal((h.shape[0], D, D))
+        a = sb * rng.standard_normal((h.shape[0], D))
+        h_next = x @ np.swapaxes(A, 1, 2)
+        h_next += a[:, None, :]
+        return h_next
 
-    for start in range(0, n_draws, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n_draws)
-        chunk = stop - start
-        rep = start // DRAW_CHUNK
-        x = np.broadcast_to(x0_batch, (chunk, N, D)).copy()
-        div = np.zeros((chunk, N), dtype=bool)
-        states[start:stop, :, 0, :] = x
-        hlast = np.zeros_like(x)
-        for l in range(L):
-            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            if mode == "materialized":
-                A = sw * rng.standard_normal((chunk, D, D))
-                a = sb * rng.standard_normal((chunk, D))
-                h = x @ np.swapaxes(A, 1, 2) + a[:, None, :]
-            else:
-                h = _projected_term(law, rng, _batched_psd_factor(x))
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_new = phi(h)
-            x, div = _freeze_diverged(x_new, x, div)
-            hlast = np.where(div[..., None], hlast, h)
-        states[start:stop, :, 1, :] = hlast
-        diverged[start:stop] = div
-
-    times = np.array([0.0, float(L)])
-    return PathBatch(times=times, states=states, diverged=diverged)
+    return _propagate(x0_batch, n_draws, seed, cfg.depth, 1.0, step)
 
 
 @lru_cache(maxsize=1)

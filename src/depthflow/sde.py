@@ -9,24 +9,23 @@ trajectories of different inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .activations import Activation
-from .config import SeedSpec, make_rng
+from .config import SeedSpec
 from .errors import ConfigError
 from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
-                   conditional_variance, cross_covariance, psd_sqrt,
-                   time_change_rescale)
-from .resnet import DRAW_CHUNK, ExplosionGuard, PathBatch, \
-    _batched_psd_factor, _freeze_diverged, _projected_term, _store_plan, \
-    choose_sampler
+                   conditional_variance, psd_sqrt, time_change_rescale)
+# _freeze_diverged is unused here; perfbench/test_selftest.py looks it up here
+from .resnet import HARD_CAP, PathBatch, _batched_psd_factor, \
+    _freeze_diverged, _projected_term, _propagate, choose_sampler  # noqa: F401
 
 __all__ = [
-    "SdeCoefficients", "ExplosionGuard", "NoisePlan", "drift_eval",
-    "diffusion_eval", "euler_step_decoupled", "euler_step_coupled",
-    "simulate_paths", "time_change_rescale", "linear_growth_check",
+    "SdeCoefficients", "drift_eval", "diffusion_eval", "euler_step_decoupled",
+    "euler_step_coupled", "simulate_paths", "time_change_rescale",
+    "linear_growth_check",
 ]
 
 
@@ -49,31 +48,6 @@ class SdeCoefficients:
 
     def diffusion_factor(self, x: np.ndarray) -> np.ndarray:
         return diffusion_eval(self, x)
-
-
-@dataclass(frozen=True)
-class NoisePlan:
-    """Pre-generated standardized noises for L steps of a width-D system.
-
-    ``epsW`` has shape (L, D, D), ``epsb`` and ``zeta`` shape (L, D); all
-    entries are i.i.d. standard normal, reproducible from the seed.
-    """
-
-    epsW: np.ndarray
-    epsb: np.ndarray
-    zeta: np.ndarray
-
-
-def generate_noise_plan(D: int, L: int, seed: SeedSpec) -> NoisePlan:
-    epsW = np.empty((L, D, D))
-    epsb = np.empty((L, D))
-    zeta = np.empty((L, D))
-    for l in range(L):
-        rng = make_rng(seed.with_stream(layer=seed.layer + l))
-        epsW[l] = rng.standard_normal((D, D))
-        epsb[l] = rng.standard_normal(D)
-        zeta[l] = rng.standard_normal(D)
-    return NoisePlan(epsW=epsW, epsb=epsb, zeta=zeta)
 
 
 def drift_eval(coeffs: SdeCoefficients, x: np.ndarray) -> np.ndarray:
@@ -174,17 +148,17 @@ def _batched_drift(coeffs: SdeCoefficients, psi_states: np.ndarray,
 
 def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
                    T: float, n_draws: int, seed: SeedSpec,
-                   guard: ExplosionGuard = ExplosionGuard(),
                    store_stride: int | None = None,
                    noise: str = "auto") -> PathBatch:
     """Coupled Euler-Maruyama simulation over L steps of size T/L.
 
-    Diverged trajectories (non-finite or above the guard's hard cap) are
-    flagged and frozen. ``noise`` as in
-    :func:`depthflow.resnet.resnet_forward`: for the fully i.i.d. law with
-    2N <= D the shared-noise term is drawn from its exact joint Gaussian
-    law given the states (D x min(N, D) normals per step); otherwise, or
-    with ``noise="materialized"``, the full D x D weight noise is drawn.
+    Diverged trajectories (non-finite or with norm above
+    :data:`depthflow.resnet.HARD_CAP`) are flagged and frozen. ``noise`` as
+    in :func:`depthflow.resnet.resnet_forward`: for the fully i.i.d. law
+    with 2N <= D the shared-noise term is drawn from its exact joint
+    Gaussian law given the states (D x min(N, D) normals per step);
+    otherwise, or with ``noise="materialized"``, the full D x D weight
+    noise is drawn.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -199,41 +173,26 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
     sqdt = np.sqrt(dt)
     mode = choose_sampler(law, N, D, noise)
 
-    keep = _store_plan(L, store_stride)
-    states = np.empty((n_draws, N, keep.size, D))
-    diverged = np.zeros((n_draws, N), dtype=bool)
+    def step(x, rng, l):
+        px = coeffs.psi(x)
+        drift = _batched_drift(coeffs, px, x.shape)
+        if mode == "materialized":
+            epsW = rng.standard_normal((x.shape[0], D, D))
+            epsb = rng.standard_normal((x.shape[0], D))
+            term = _scaled_noise_term(law, px, epsW, epsb)
+        else:
+            term = _projected_term(law, rng, _batched_psd_factor(px))
+        # x + drift dt + phi'(0) term sqrt(dt), built in the noise term's
+        # buffer: a step that frees many temporaries at once lets the
+        # allocator return the memory to the system and fault it in again
+        # every layer
+        term *= coeffs.phi.dphi0
+        term *= sqdt
+        term += x + drift * dt
+        return term
 
-    for start in range(0, n_draws, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n_draws)
-        chunk = stop - start
-        rep = start // DRAW_CHUNK
-        x = np.broadcast_to(x0_batch, (chunk, N, D)).copy()
-        div = np.zeros((chunk, N), dtype=bool)
-        kpos = 0
-        if keep[0] == 0:
-            states[start:stop, :, 0, :] = x
-            kpos = 1
-        for l in range(L):
-            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            with np.errstate(over="ignore", invalid="ignore"):
-                px = coeffs.psi(x)
-                drift = _batched_drift(coeffs, px, x.shape)
-                if mode == "materialized":
-                    epsW = rng.standard_normal((chunk, D, D))
-                    epsb = rng.standard_normal((chunk, D))
-                    term = _scaled_noise_term(law, px, epsW, epsb)
-                else:
-                    term = _projected_term(law, rng,
-                                           _batched_psd_factor(px))
-                x_new = x + drift * dt + coeffs.phi.dphi0 * term * sqdt
-            x, div = _freeze_diverged(x_new, x, div, cap=guard.hard_cap)
-            if kpos < keep.size and keep[kpos] == l + 1:
-                states[start:stop, :, kpos, :] = x
-                kpos += 1
-        diverged[start:stop] = div
-
-    times = keep * dt
-    return PathBatch(times=times, states=states, diverged=diverged)
+    return _propagate(x0_batch, n_draws, seed, L, dt, step, cap=HARD_CAP,
+                      store_stride=store_stride)
 
 
 def linear_growth_check(coeffs: SdeCoefficients,

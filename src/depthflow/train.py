@@ -50,8 +50,6 @@ class AdaptationLayers:
 
     W_I: np.ndarray
     W_O: np.ndarray
-    train_input: bool = True
-    train_output: bool = True
 
 
 @dataclass(frozen=True)
@@ -304,10 +302,8 @@ def sgd_run(config: TrainConfig, data: Dataset,
             grads = backward(cache)
             params["theta_W"] -= lr * grads["theta_W"]
             params["theta_b"] -= lr * grads["theta_b"]
-            if adapt.train_input:
-                adapt.W_I -= lr * grads["W_I"]
-            if adapt.train_output:
-                adapt.W_O -= lr * grads["W_O"]
+            adapt.W_I -= lr * grads["W_I"]
+            adapt.W_O -= lr * grads["W_O"]
 
     trace.final_train_accuracy = _accuracy(model, adapt, params, config.mode,
                                            data)

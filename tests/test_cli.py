@@ -183,13 +183,12 @@ class TestRunners:
         assert set(res["accepted"].tolist()) == set(order[:5].tolist())
 
     def test_abc_observation_off_grid_rejected(self, tmp_path):
-        cfg = parse_config(tiny_overrides(
-            "abc", tmp_path / "o",
-            inputs={"values": [0.0, 1.0]},
-            abc={"observations": [[0.3, 0.0]], "prior_draws": 20,
-                 "keep": 2}))
+        raw = tiny_overrides("abc", tmp_path / "o",
+                             inputs={"values": [0.0, 1.0]},
+                             abc={"observations": [[0.3, 0.0]],
+                                  "prior_draws": 20, "keep": 2})
         with pytest.raises(ConfigError, match="grid"):
-            run_experiment(cfg)
+            parse_config(raw)
 
     def test_rerun_byte_identical(self, tmp_path):
         outs = []
@@ -254,6 +253,19 @@ class TestCliEntry:
         code = main(["abc", "--config", str(write_config(tmp_path, raw))])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    def test_off_grid_observation_leaves_no_directory(self, tmp_path,
+                                                      capsys):
+        raw = tiny_overrides("abc", tmp_path / "o",
+                             inputs={"values": [0.0, 1.0]},
+                             abc={"observations": [[0.3, 0.0]],
+                                  "prior_draws": 20, "keep": 2})
+        code = main(["abc", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert "input 0.3 " in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_bad_train_depths_report_config_error(self, tmp_path, capsys):

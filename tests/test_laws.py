@@ -3,7 +3,7 @@ import pytest
 
 from depthflow import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw,
                        SeedSpec, conditional_variance, cross_covariance,
-                       psd_sqrt, sample_increments, time_change_rescale)
+                       psd_sqrt, time_change_rescale)
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError, NotPsdError
 from depthflow.laws import sample_eps
@@ -122,33 +122,24 @@ class TestSampling:
         seb = prodsb.std(axis=0, ddof=1) / np.sqrt(n)
         assert (np.abs(empb - law.Sigmab) <= 4 * seb).all()
 
-    def test_increment_representation_exact(self):
-        law = MatrixNormalLaw(
-            muW=np.full((2, 2), 0.3), mub=np.array([0.1, -0.2]),
-            sigmaWO=np.eye(2), sigmaWI=np.eye(2), sigmab=np.eye(2),
-        )
-        dt = 0.25
-        incs = sample_increments(law, dt, 3, SeedSpec(1, "exact"))
-        assert len(incs) == 3
-        for inc in incs:
-            assert np.array_equal(inc.dW,
-                                  law.muW * dt + inc.epsW * np.sqrt(dt))
-            assert np.array_equal(inc.db,
-                                  law.mub * dt + inc.epsb * np.sqrt(dt))
-
     def test_bit_reproducible(self):
         law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=3)
-        a = sample_increments(law, 0.1, 4, SeedSpec(42, "repro", 2))
-        b = sample_increments(law, 0.1, 4, SeedSpec(42, "repro", 2))
+        seed = SeedSpec(42, "repro", 2)
+        a = sample_eps(law, make_rng(seed), 4)
+        b = sample_eps(law, make_rng(seed), 4)
         for x, y in zip(a, b):
-            assert np.array_equal(x.dW, y.dW) and np.array_equal(x.db, y.db)
-        c = sample_increments(law, 0.1, 4, SeedSpec(42, "repro", 3))
-        assert not np.array_equal(a[0].dW, c[0].dW)
+            assert np.array_equal(x, y)
+        c = sample_eps(law, make_rng(seed.with_stream(replicate=3)), 4)
+        assert not np.array_equal(a[0], c[0])
+        assert not np.array_equal(a[1], c[1])
 
     def test_layers_independent_streams(self):
         law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=2)
-        incs = sample_increments(law, 0.1, 2, SeedSpec(0, "ind"))
-        assert not np.array_equal(incs[0].epsW, incs[1].epsW)
+        seed = SeedSpec(0, "ind")
+        l0, l1 = (sample_eps(law, make_rng(seed.with_stream(layer=l)), 1)
+                  for l in (0, 1))
+        assert not np.array_equal(l0[0], l1[0])
+        assert not np.array_equal(l0[1], l1[1])
 
 
 class TestConditionalVariance:

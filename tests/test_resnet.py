@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from depthflow import (ExplosionGuard, FeedforwardConfig, FullyIidLaw,
-                       GeneralGaussianLaw, MatrixNormalLaw, ModelConfig,
-                       SdeCoefficients, SeedSpec, eoc_solve,
-                       feedforward_forward, ks_two_sample, resnet_forward,
-                       shallow_block_step, simulate_paths)
+from depthflow import (FeedforwardConfig, FullyIidLaw, GeneralGaussianLaw,
+                       MatrixNormalLaw, ModelConfig, SdeCoefficients,
+                       SeedSpec, eoc_solve, feedforward_forward,
+                       ks_two_sample, resnet_forward, simulate_paths)
 from depthflow.activations import IDENTITY, RELU, SWISH, TANH
+from depthflow.config import make_rng
 from depthflow.errors import ConfigError
-from depthflow.laws import ParamIncrement
-from depthflow.resnet import (HARD_CAP, _batched_psd_factor,
+from depthflow.laws import sample_eps, scale_eps
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, _batched_psd_factor,
                               _freeze_diverged, choose_sampler)
 
 
@@ -20,46 +20,49 @@ def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
                        psi=psi, law=law)
 
 
-def zero_increments(L, D):
-    z = np.zeros((D, D))
-    return [ParamIncrement(dW=z, db=np.zeros(D), epsW=z, epsb=np.zeros(D))
-            for _ in range(L)]
-
-
-class TestShallowBlock:
-    def test_zero_parameters_fixed_point(self):
-        x = np.array([0.3, -1.2])
-        out = shallow_block_step(TANH, IDENTITY, np.zeros((2, 2)),
-                                 np.zeros(2), x)
-        assert np.array_equal(out, x)
-
-    def test_identity_doubling(self):
-        x = np.array([1.5, -2.0])
-        out = shallow_block_step(IDENTITY, IDENTITY, np.eye(2), np.zeros(2), x)
-        assert np.allclose(out, 2 * x)
-
-    def test_scalar_tanh(self):
-        out = shallow_block_step(TANH, IDENTITY, np.array([[1.0]]),
-                                 np.array([0.0]), np.array([0.5]))
-        assert out[0] == pytest.approx(0.5 + np.tanh(0.5), abs=1e-14)
-
-
 class TestResnetForward:
     def test_zero_increments_identity(self):
-        model = iid_model(5, 3)
+        # a zero-variance law draws zero increments, and tanh(0) = 0
+        model = iid_model(5, 3, sigma_w=0.0, sigma_b=0.0)
         x0 = np.array([[0.2, -0.4, 1.0]])
-        batch = resnet_forward(model, x0, 1, SeedSpec(0),
-                               increments=zero_increments(5, 3))
-        assert np.array_equal(batch.xT[0, 0], x0[0])
+        for noise in ("materialized", "projected"):
+            batch = resnet_forward(model, x0, 3, SeedSpec(0), store_stride=1,
+                                   noise=noise)
+            assert np.array_equal(batch.states,
+                                  np.broadcast_to(x0[:, None],
+                                                  batch.states.shape))
+            assert not batch.diverged.any()
 
-    def test_forced_linear_step(self):
-        model = iid_model(1, 1, phi=IDENTITY, psi=IDENTITY)
-        w, b = 0.7, -0.3
-        inc = [ParamIncrement(dW=np.array([[w]]), db=np.array([b]),
-                              epsW=np.zeros((1, 1)), epsb=np.zeros(1))]
-        batch = resnet_forward(model, np.array([[2.0]]), 1, SeedSpec(0),
-                               increments=inc)
-        assert batch.xT[0, 0, 0] == pytest.approx(2.0 + w * 2.0 + b)
+    @pytest.mark.parametrize("law_kind, phi, psi", [
+        ("iid", TANH, IDENTITY), ("iid", SWISH, TANH),
+        ("matrix_normal", IDENTITY, IDENTITY)],
+        ids=["tanh", "swish-tanh", "matrix-normal"])
+    def test_one_layer_matches_stream_oracle(self, law_kind, phi, psi):
+        # x + phi(psi(x) dW^T + db), with dW and db recomputed from the
+        # stream of chunk 0, layer 0
+        D, horizon = 3, 0.3
+        if law_kind == "iid":
+            law = FullyIidLaw(sigma_w=1.3, sigma_b=0.7, dim=D)
+        else:
+            rng = np.random.default_rng(3)
+            law = MatrixNormalLaw(muW=rng.standard_normal((D, D)),
+                                  mub=rng.standard_normal(D),
+                                  sigmaWO=np.eye(D) + 0.2, sigmaWI=np.eye(D),
+                                  sigmab=0.5 * np.eye(D))
+        model = ModelConfig(depth=1, width=D, horizon=horizon, phi=phi,
+                            psi=psi, law=law)
+        x0 = np.array([[0.5, -1.0, 2.0], [0.0, 0.3, -0.7]])
+        seed = SeedSpec(21, "oracle")
+        batch = resnet_forward(model, x0, 7, seed, noise="materialized")
+
+        rng = make_rng(seed.with_stream(replicate=0, layer=0))
+        sW, sb = scale_eps(law, *sample_eps(law, rng, 7))
+        dW = law.mean_W * horizon + sW * np.sqrt(horizon)
+        db = law.mean_b * horizon + sb * np.sqrt(horizon)
+        x = np.broadcast_to(x0, (7, 2, D))
+        want = x + phi(psi(x) @ np.swapaxes(dW, 1, 2) + db[:, None, :])
+        assert np.array_equal(batch.xT, want)
+        assert np.array_equal(batch.times, [0.0, horizon])
 
     def test_initial_states_stored_exactly(self):
         model = iid_model(4, 2)
@@ -284,11 +287,80 @@ class TestExplosionGuard:
         sde = simulate_paths(SdeCoefficients(model.law, SWISH, IDENTITY),
                              x0, 16, 4.0, 300, SeedSpec(41, "guard/sde"),
                              store_stride=1)
-        assert ExplosionGuard().hard_cap == HARD_CAP
         for batch in (net, sde):
             assert batch.diverged.any()
             norms = np.linalg.norm(batch.states, axis=-1)
             assert (norms <= HARD_CAP).all()
+
+
+class TestPropagationKernel:
+    """The chunked kernel behind the residual, SDE and feedforward samplers."""
+
+    @staticmethod
+    def run(sampler, noise, n_draws):
+        D = 8
+        x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
+        seed = SeedSpec(43, f"prefix/{sampler}")
+        if sampler == "resnet":
+            return resnet_forward(iid_model(4, D), x0, n_draws, seed,
+                                  noise=noise, store_stride=2)
+        if sampler == "sde":
+            return simulate_paths(SdeCoefficients(FullyIidLaw(1.0, 1.0, D),
+                                                  SWISH, IDENTITY),
+                                  x0, 4, 1.0, n_draws, seed, noise=noise,
+                                  store_stride=2)
+        cfg = FeedforwardConfig(depth=4, width=D, sigma_w2=1.5, sigma_b2=0.1,
+                                activation=TANH)
+        return feedforward_forward(cfg, x0, n_draws, seed, noise=noise)
+
+    @pytest.mark.parametrize("noise", ["materialized", "projected"])
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_chunk_prefix_invariance(self, sampler, noise):
+        # a 600-draw run spans chunks [0, 256), [256, 512), [512, 600); its
+        # whole chunks are the same draws, bit for bit, in a shorter run.
+        # The projected draw, one (chunk, D, K + 1) block per layer, keeps
+        # a partial chunk's leading draws too; the materialized draw reads
+        # the bias normals after all chunk x D x D weight normals, so its
+        # partial chunks depend on their size.
+        full = self.run(sampler, noise, 600)
+        for n in (300, 512):
+            part = self.run(sampler, noise, n)
+            same = n if noise == "projected" else n - n % DRAW_CHUNK
+            assert same >= DRAW_CHUNK
+            assert np.array_equal(full.states[:same], part.states[:same])
+            assert np.array_equal(full.diverged[:same], part.diverged[:same])
+            assert np.array_equal(full.times, part.times)
+        # and each chunk reads its own streams
+        assert not np.array_equal(full.xT[DRAW_CHUNK:DRAW_CHUNK + 10],
+                                  full.xT[:10])
+
+    def test_feedforward_flags_on_the_pre_activation(self):
+        # relu maps -inf to 0, so only the pre-activation shows the overflow:
+        # no stored pre-activation is non-finite at any depth, and a flagged
+        # draw stores its last finite one, which is the output of the
+        # shallower net (streams are keyed by layer) at the deepest depth
+        # where that draw was still unflagged
+        D, L, n = 4, 10, 200
+        x0 = np.vstack([np.full(D, 1.0), np.full(D, -0.5)])
+
+        def run(depth):
+            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=1e100,
+                                    sigma_b2=1.0, activation=RELU)
+            return feedforward_forward(cfg, x0, n, SeedSpec(47, "ffflag"),
+                                       noise="materialized")
+
+        runs = {k: run(k) for k in range(1, L + 1)}
+        deep = runs[L]
+        assert deep.diverged.any() and not deep.diverged.all()
+        for k in range(1, L + 1):
+            assert np.isfinite(runs[k].states).all()
+        for k in range(1, L):
+            assert not (runs[k].diverged & ~runs[k + 1].diverged).any()
+        for d, i in zip(*np.nonzero(deep.diverged)):
+            last = max((k for k in runs if not runs[k].diverged[d, i]),
+                       default=0)
+            want = x0[i] if last == 0 else runs[last].xT[d, i]
+            assert np.array_equal(deep.xT[d, i], want)
 
 
 class TestFeedforward:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from depthflow import (ExplosionGuard, FullyIidLaw, GeneralGaussianLaw,
+from depthflow import (FullyIidLaw, GeneralGaussianLaw,
                        MatrixNormalLaw, ModelConfig, SdeCoefficients,
                        SeedSpec, conditional_variance, cross_covariance,
                        diffusion_eval, drift_eval, euler_step_coupled,
@@ -12,7 +12,6 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps
-from depthflow.sde import generate_noise_plan
 
 
 def iid_coeffs(D, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY):
@@ -207,13 +206,13 @@ class TestSimulatePaths:
         assert batch.explosive_fraction <= 10 / 2_000
 
     def test_diverged_paths_frozen_not_crashed(self):
-        # brutal drift via a large-mean general law forces the cap quickly
+        # brutal drift via a large-mean general law: one step of size 1/8
+        # moves 1.25e7, past the 1e6 cap
         law = GeneralGaussianLaw(np.zeros((2, 2)), np.full(2, 1e8),
                                  np.zeros((4, 4)), np.zeros((2, 2)))
         coeffs = SdeCoefficients(law=law, phi=TANH, psi=IDENTITY)
         batch = simulate_paths(coeffs, np.zeros((1, 2)), 8, 1.0, 3,
-                               SeedSpec(12, "cap"),
-                               guard=ExplosionGuard(hard_cap=10.0))
+                               SeedSpec(12, "cap"))
         assert batch.diverged.all()
         assert np.isfinite(batch.states).all()
 
@@ -285,10 +284,3 @@ class TestLinearGrowth:
         assert not ok
         assert c > 0
 
-
-def test_noise_plan_reproducible():
-    a = generate_noise_plan(3, 5, SeedSpec(1, "plan"))
-    b = generate_noise_plan(3, 5, SeedSpec(1, "plan"))
-    assert np.array_equal(a.epsW, b.epsW)
-    assert np.array_equal(a.zeta, b.zeta)
-    assert a.epsW.shape == (5, 3, 3)
