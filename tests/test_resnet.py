@@ -20,6 +20,38 @@ def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
                        psi=psi, law=law)
 
 
+def one_block_step(phi, psi, W, b, x):
+    """x + phi(W psi(x) + b): a depth-1, unit-horizon net whose law is
+    the point mass at (W, b)."""
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    b = np.asarray(b, dtype=float)
+    zero = np.zeros_like(W)
+    law = MatrixNormalLaw(muW=W, mub=b, sigmaWO=zero, sigmaWI=zero,
+                          sigmab=zero)
+    model = ModelConfig(depth=1, width=b.shape[0], horizon=1.0, phi=phi,
+                        psi=psi, law=law)
+    batch = resnet_forward(model, np.asarray(x, dtype=float)[None, :], 1,
+                           SeedSpec(0), noise="materialized")
+    return batch.xT[0, 0]
+
+
+class TestShallowBlock:
+    def test_zero_parameters_fixed_point(self):
+        x = np.array([0.3, -1.2])
+        out = one_block_step(TANH, IDENTITY, np.zeros((2, 2)), np.zeros(2), x)
+        assert np.array_equal(out, x)
+
+    def test_identity_doubling(self):
+        x = np.array([1.5, -2.0])
+        out = one_block_step(IDENTITY, IDENTITY, np.eye(2), np.zeros(2), x)
+        assert np.allclose(out, 2 * x)
+
+    def test_scalar_tanh(self):
+        out = one_block_step(TANH, IDENTITY, np.array([[1.0]]),
+                             np.array([0.0]), np.array([0.5]))
+        assert out[0] == pytest.approx(0.5 + np.tanh(0.5), abs=1e-14)
+
+
 class TestResnetForward:
     def test_zero_increments_identity(self):
         # a zero-variance law draws zero increments, and tanh(0) = 0
@@ -32,6 +64,11 @@ class TestResnetForward:
                                   np.broadcast_to(x0[:, None],
                                                   batch.states.shape))
             assert not batch.diverged.any()
+
+    def test_forced_linear_step(self):
+        w, b = 0.7, -0.3
+        out = one_block_step(IDENTITY, IDENTITY, [[w]], [b], [2.0])
+        assert out[0] == pytest.approx(2.0 + w * 2.0 + b)
 
     @pytest.mark.parametrize("law_kind, phi, psi", [
         ("iid", TANH, IDENTITY), ("iid", SWISH, TANH),
