@@ -72,10 +72,15 @@ class AbcSpec:
     eoc_sigma_b2: float = 0.05
 
     def __post_init__(self):
+        if self.keep < 1:
+            raise ConfigError(f"abc.keep: must be >= 1, got {self.keep}")
         if self.keep > self.prior_draws:
             raise ConfigError(
                 f"abc.keep: {self.keep} exceeds prior_draws {self.prior_draws}"
             )
+        if not self.eoc_sigma_b2 >= 0:
+            raise ConfigError(f"abc.eoc_sigma_b2: must be nonnegative, "
+                              f"got {self.eoc_sigma_b2}")
 
 
 @dataclass(frozen=True)
@@ -110,7 +115,7 @@ def _typed(raw: dict, path: str, key: str, kind, default):
             if not isinstance(value, str):
                 raise ValueError
             return value
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{loc}: expected {kind.__name__}, got {value!r}")
     return value
 
@@ -155,11 +160,14 @@ def _parse_model(raw: dict) -> ModelSpec:
     if spec.kind not in MODEL_KINDS:
         raise ConfigError(f"model.kind: expected one of {MODEL_KINDS}, "
                           f"got {spec.kind!r}")
-    if spec.sigma_w2 < 0 or spec.sigma_b2 < 0:
-        raise ConfigError("model.sigma_w2/sigma_b2: must be nonnegative")
+    for key in ("sigma_w2", "sigma_b2"):
+        if not getattr(spec, key) >= 0:
+            raise ConfigError(f"model.{key}: must be nonnegative")
     for key in ("depth", "width"):
         if getattr(spec, key) < 1:
             raise ConfigError(f"model.{key}: must be >= 1")
+    if not spec.horizon > 0:
+        raise ConfigError("model.horizon: must be > 0")
     get_activation(spec.activation)
     get_activation(spec.inner)
     return spec
@@ -179,7 +187,7 @@ def _parse_inputs(raw) -> tuple:
             raise ConfigError("inputs.values: expected a non-empty list")
         try:
             return tuple(float(v) for v in values)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"inputs.values: non-numeric entry in {values!r}")
     if "grid" in raw:
         grid = _block(raw, "grid")
@@ -194,11 +202,16 @@ def _parse_inputs(raw) -> tuple:
     raise ConfigError("inputs: expected a 'values' list or a 'grid' block")
 
 
+DATASET_KEYS = {"kind": str, "n": int, "features": int, "classes": int,
+                "test_n": int, "images": str, "labels": str,
+                "test_images": str, "test_labels": str}
+
+
 def _parse_sgd(raw: dict) -> SgdSpec:
-    dataset = _block(raw, "dataset") or dict(SgdSpec().dataset)
-    for key in ("n", "features", "classes", "test_n"):
-        if key in dataset:
-            dataset[key] = _typed(dataset, "train.dataset", key, int, None)
+    given = _block(raw, "dataset") or dict(SgdSpec().dataset)
+    dataset = {key: _typed(given, "train.dataset", key, kind, None)
+               for key, kind in DATASET_KEYS.items() if key in given}
+    _reject_unknown(given, "train.dataset")
     spec = SgdSpec(
         modes=_typed_list(raw, "train", "modes", str,
                           ["reparametrized", "standard"]),
@@ -227,7 +240,7 @@ def _parse_abc(raw: dict) -> AbcSpec:
         try:
             z, y = pair
             pairs.append((float(z), float(y)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"abc.observations[{k}]: expected a [z, y] pair,"
                               f" got {pair!r}")
     spec = AbcSpec(
@@ -637,7 +650,7 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     """First-coordinate outputs x_{T,1}(z) for scalar inputs z = W_I z.
 
     Without ``select``: every draw's outputs at the observation inputs
-    ``z_values``, each layer drawn as Z R + b (see resnet._projected_term)
+    ``z_values``, each layer drawn as Z R + b (see resnet._layer_increment)
     with psi(X)^T = Q R and Z a D x min(N, D) normal.
 
     ``select`` maps chunk index -> within-chunk draw indexes to keep; the

@@ -121,40 +121,57 @@ def _batched_psd_factor(psi_x: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.swapaxes(psi_x, -1, -2), mode="r")
 
 
-def _projected_term(law: FullyIidLaw, rng: np.random.Generator,
-                    R: np.ndarray) -> np.ndarray:
-    """Shared-noise term (sigma_w/sqrt(D)) epsW psi(x) + sigma_b epsb.
+def _layer_increment(law, rng: np.random.Generator, px: np.ndarray,
+                     mode: str, dt: float) -> np.ndarray:
+    """One layer's increment h = psi(x) dW^T + db for every input.
 
-    ``R`` is :func:`_batched_psd_factor` of the (chunk, N, D) states
-    psi(x); the result has their shape. Given the states the term is
-    Gaussian with covariance fixed by the Gram matrix R^T R, so it is
-    drawn as Z R from D x min(N, D) standard normals Z instead of the full
-    D x D weight noise.
+    ``px`` holds the (chunk, N, D) states psi(x); the parameters (dW, db)
+    = mean dt + sqrt(dt) noise are shared by the N inputs of a draw, and
+    h has the shape of ``px``. ``mode`` is :func:`choose_sampler`'s:
+    ``"materialized"`` draws the full D x D weight noise; ``"projected"``
+    (fully i.i.d. law) draws h from its exact Gaussian law given the
+    states, as Z R with R = :func:`_batched_psd_factor` of ``px`` and Z a
+    D x min(N, D) normal.
     """
-    epsW, epsb = sample_eps(law, rng, R.shape[0], cols=R.shape[-2])
-    sW, sb = scale_eps(law, epsW, epsb)
-    # C order: the SDE step builds its next state in this buffer, and the
-    # drift's einsum over the state sums in a layout-dependent order
-    return np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], order="C")
+    sqdt = np.sqrt(dt)
+    if mode == "projected":
+        R = _batched_psd_factor(px)
+        sW, sb = scale_eps(law, *sample_eps(law, rng, px.shape[0],
+                                            cols=R.shape[-2]))
+        # C order: the SDE step builds its next state in this buffer, and
+        # the drift's einsum over the state sums in a layout-dependent order
+        h = np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], order="C")
+        h *= sqdt
+        return h
+    dW, db = scale_eps(law, *sample_eps(law, rng, px.shape[0]))
+    # in place, here and below: a fresh (chunk, D, D) or (chunk, N, D)
+    # temporary per operation costs page faults and time at large
+    # chunk x N x D
+    dW *= sqdt
+    db *= sqdt
+    if not isinstance(law, FullyIidLaw):
+        dW += law.mean_W * dt
+        db += law.mean_b * dt
+    h = px @ np.swapaxes(dW, 1, 2)
+    h += db[:, None, :]
+    return h
 
 
 def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
-    """Pick the noise sampler for N inputs at width D.
+    """Pick the noise sampler of :func:`_layer_increment` for N inputs at
+    width D.
 
-    ``"projected"`` draws the pre-activations from their exact joint law
-    (:func:`_projected_term`); it needs the fully i.i.d. law. ``"auto"``
-    takes it when 2N <= D and the draw of the full D x D weight noise
-    (``"materialized"``) otherwise. Per step the two cost the same near
-    N = 0.7 D at D = 64 (chunk 256) and N = 0.55 D at D = 500 (chunk 32).
+    ``"auto"`` takes ``"projected"`` for the fully i.i.d. law when
+    2N <= D and ``"materialized"`` otherwise; ``noise="materialized"`` is
+    the one override. Per step the two cost the same near N = 0.7 D at
+    D = 64 (chunk 256) and N = 0.55 D at D = 500 (chunk 32).
     """
-    if noise == "auto":
-        return ("projected" if isinstance(law, FullyIidLaw)
-                and 2 * n_inputs <= width else "materialized")
-    if noise == "projected" and not isinstance(law, FullyIidLaw):
-        raise ConfigError("projected noise requires the fully i.i.d. law")
-    if noise not in ("materialized", "projected"):
+    if noise == "materialized":
+        return noise
+    if noise != "auto":
         raise ConfigError(f"unknown noise mode {noise!r}")
-    return noise
+    return ("projected" if isinstance(law, FullyIidLaw)
+            and 2 * n_inputs <= width else "materialized")
 
 
 def _propagate(x0: np.ndarray, n_draws: int, seed: SeedSpec, depth: int,
@@ -204,50 +221,26 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    noise: str = "auto") -> PathBatch:
     """Propagate N inputs jointly through the residual recursion.
 
-    Within a draw one shared parameter sequence drives all inputs, which is
-    what couples their trajectories. ``noise`` selects the sampler:
-
-    * ``"materialized"`` draws the full D x D weight and D bias increments;
-    * ``"projected"`` (fully i.i.d. law only) draws the pre-activations
-      directly from their exact joint Gaussian law given the states:
-      D x min(N, D) weight normals times the triangular factor of
-      psi(x) psi(x)^T;
-    * ``"auto"`` (see :func:`choose_sampler`) takes ``projected`` for the
-      fully i.i.d. law when 2N <= D, where it is the cheaper draw, and
-      ``materialized`` otherwise.
-
-    Both samplers produce the same trajectory law; they consume different
-    random streams. Draws that go non-finite or whose norm passes
-    ``HARD_CAP`` are flagged and frozen.
+    Each layer maps x to x + phi(h), h the layer increment of
+    :func:`_layer_increment`. Within a draw one shared parameter sequence
+    drives all inputs, which is what couples their trajectories.
+    ``noise="auto"`` lets :func:`choose_sampler` pick the draw: projected
+    (D x min(N, D) normals per layer) for the fully i.i.d. law when
+    2N <= D, where it is the cheaper one, and the full D x D weight noise
+    otherwise; ``noise="materialized"`` forces the latter. Both give the
+    same trajectory law from different random streams. Draws that go
+    non-finite or whose norm passes ``HARD_CAP`` are flagged and frozen.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape
     if D != config.width:
         raise ConfigError(f"x0 rows have length {D}, model width is {config.width}")
-    dt = config.dt
-    sqdt = np.sqrt(dt)
-    law = config.law
+    law, dt = config.law, config.dt
     phi, psi = config.phi, config.psi
     mode = choose_sampler(law, N, D, noise)
-    centred = isinstance(law, FullyIidLaw)
 
     def step(x, rng, l):
-        if mode == "materialized":
-            epsW, epsb = sample_eps(law, rng, x.shape[0])
-            dW, db = scale_eps(law, epsW, epsb)
-            # in place, here and below: a fresh (chunk, D, D) or
-            # (chunk, N, D) temporary per operation costs page faults and
-            # time at large chunk x N x D
-            dW *= sqdt
-            db *= sqdt
-            if not centred:
-                dW += law.mean_W * dt
-                db += law.mean_b * dt
-            h = psi(x) @ np.swapaxes(dW, 1, 2)
-            h += db[:, None, :]
-        else:
-            h = sqdt * _projected_term(law, rng, _batched_psd_factor(psi(x)))
-        y = phi(h)
+        y = phi(_layer_increment(law, rng, psi(x), mode, dt))
         y += x
         return y
 
@@ -262,9 +255,10 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
 
     Recursion h_{l+1} = A_l phi(h_l) + a_l from h_0 = x_0 (the first layer
     reads the input itself), with A entries N(0, sigma_w2/width) and a
-    entries N(0, sigma_b2); parameters are shared across the batch within
-    a draw. The stored final state is the last layer's pre-activation (the
-    quantity whose depth-correlation structure the critical initialization
+    entries N(0, sigma_b2): the layer increment of :func:`_layer_increment`
+    at dt = 1. Parameters are shared across the batch within a draw. The
+    stored final state is the last layer's pre-activation (the quantity
+    whose depth-correlation structure the critical initialization
     preserves); only the input and that final layer are stored, at times
     0 and depth. ``noise`` as in :func:`resnet_forward`. A draw is flagged
     when its pre-activation goes non-finite, and then stores its last
@@ -275,20 +269,12 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     if D != cfg.width:
         raise ConfigError(f"x0 rows have length {D}, width is {cfg.width}")
     phi = cfg.activation
-    sw = np.sqrt(cfg.sigma_w2 / D)
-    sb = np.sqrt(cfg.sigma_b2)
-    law = FullyIidLaw(sigma_w=np.sqrt(cfg.sigma_w2), sigma_b=sb, dim=D)
+    law = FullyIidLaw(sigma_w=np.sqrt(cfg.sigma_w2),
+                      sigma_b=np.sqrt(cfg.sigma_b2), dim=D)
     mode = choose_sampler(law, N, D, noise)
 
     def step(h, rng, l):
-        x = h if l == 0 else phi(h)
-        if mode == "projected":
-            return _projected_term(law, rng, _batched_psd_factor(x))
-        A = sw * rng.standard_normal((h.shape[0], D, D))
-        a = sb * rng.standard_normal((h.shape[0], D))
-        h_next = x @ np.swapaxes(A, 1, 2)
-        h_next += a[:, None, :]
-        return h_next
+        return _layer_increment(law, rng, h if l == 0 else phi(h), mode, 1.0)
 
     return _propagate(x0_batch, n_draws, seed, cfg.depth, 1.0, step)
 

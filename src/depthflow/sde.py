@@ -1,10 +1,16 @@
 """Limiting-SDE coefficients and coupled Euler-Maruyama simulation.
 
 The drift and diffusion are state-dependent functions of the parameter
-law's conditional variance; the coupled stepper shares one standardized
-weight/bias noise pair per step across all inputs, which reproduces both
-the marginal law of each trajectory and the cross-covariation between
-trajectories of different inputs.
+law's conditional variance V(x). The Euler step of :func:`simulate_paths`
+is the residual step x + phi(h) to second order,
+x + phi'(0) h + 0.5 phi''(0) E[h^2 | x], driven by the same layer
+increment h = dW psi(x) + db (:func:`depthflow.resnet._layer_increment`),
+one draw per step shared by all inputs, which reproduces both the marginal
+law of each trajectory and the cross-covariation between trajectories of
+different inputs. The drift's mean term rides in h, and only the Ito term
+0.5 phi''(0) diag V(x) dt is added. The increment's sampler is the
+residual network's (:func:`depthflow.resnet.choose_sampler`);
+``noise="materialized"`` is the one override.
 """
 
 from __future__ import annotations
@@ -18,9 +24,10 @@ from .config import SeedSpec
 from .errors import ConfigError
 from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
                    conditional_variance, psd_sqrt, time_change_rescale)
-# _freeze_diverged is unused here; perfbench/test_selftest.py looks it up here
+# _freeze_diverged and _batched_psd_factor are unused here;
+# perfbench/test_selftest.py looks both up here
 from .resnet import HARD_CAP, PathBatch, _batched_psd_factor, \
-    _freeze_diverged, _projected_term, _propagate, choose_sampler  # noqa: F401
+    _freeze_diverged, _layer_increment, _propagate, choose_sampler  # noqa: F401
 
 __all__ = [
     "SdeCoefficients", "drift_eval", "diffusion_eval", "euler_step_decoupled",
@@ -55,11 +62,8 @@ def drift_eval(coeffs: SdeCoefficients, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     law = coeffs.law
     px = coeffs.psi(x)
-    first = coeffs.phi.dphi0 * (law.mean_b + law.mean_W @ px)
-    if coeffs.phi.ddphi0 == 0.0:
-        return first
-    V = conditional_variance(law, px)
-    return first + 0.5 * coeffs.phi.ddphi0 * np.diag(V)
+    return coeffs.phi.dphi0 * (law.mean_b + law.mean_W @ px) \
+        + _batched_drift(coeffs, px)
 
 
 def diffusion_eval(coeffs: SdeCoefficients, x: np.ndarray) -> np.ndarray:
@@ -116,21 +120,17 @@ def euler_step_coupled(coeffs: SdeCoefficients, states: np.ndarray, dt: float,
     return states + drift * dt + coeffs.phi.dphi0 * noise * np.sqrt(dt)
 
 
-def _batched_drift(coeffs: SdeCoefficients, psi_states: np.ndarray,
-                   states_shape) -> np.ndarray | float:
-    """Vectorized drift over a (chunk, N, D) block of states.
+def _batched_drift(coeffs: SdeCoefficients,
+                   psi_states: np.ndarray) -> np.ndarray | float:
+    """Ito term 0.5 phi''(0) diag V(x) of the drift, over (..., D) states.
 
-    The result broadcasts against the states; for the centred fully i.i.d.
-    law the mean term is skipped, so with phi''(0) = 0 it is the scalar 0.
+    The mean term phi'(0)(mu_b + mu_W psi(x)) is not included: the Euler
+    step carries it in its layer increment. The result broadcasts against
+    the states, and is the scalar 0 when phi''(0) = 0.
     """
-    law = coeffs.law
-    if isinstance(law, FullyIidLaw):
-        first = 0.0
-    else:
-        first = coeffs.phi.dphi0 * (
-            law.mean_b + np.einsum("de,...e->...d", law.mean_W, psi_states))
     if coeffs.phi.ddphi0 == 0.0:
-        return first
+        return 0.0
+    law = coeffs.law
     if isinstance(law, FullyIidLaw):
         rate = law.sigma_b ** 2 + (law.sigma_w ** 2 / law.dim) * \
             np.einsum("...d,...d->...", psi_states, psi_states)
@@ -143,7 +143,7 @@ def _batched_drift(coeffs: SdeCoefficients, psi_states: np.ndarray,
         S = law._sigma_w4
         M = np.einsum("...i,...j,didj->...d", psi_states, psi_states, S)
         diagV = np.diag(law.Sigmab) + M
-    return first + 0.5 * coeffs.phi.ddphi0 * diagV
+    return 0.5 * coeffs.phi.ddphi0 * diagV
 
 
 def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
@@ -152,13 +152,13 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
                    noise: str = "auto") -> PathBatch:
     """Coupled Euler-Maruyama simulation over L steps of size T/L.
 
-    Diverged trajectories (non-finite or with norm above
-    :data:`depthflow.resnet.HARD_CAP`) are flagged and frozen. ``noise`` as
-    in :func:`depthflow.resnet.resnet_forward`: for the fully i.i.d. law
-    with 2N <= D the shared-noise term is drawn from its exact joint
-    Gaussian law given the states (D x min(N, D) normals per step);
-    otherwise, or with ``noise="materialized"``, the full D x D weight
-    noise is drawn.
+    Each step is the residual step x + phi(h) to second order,
+    x + phi'(0) h + 0.5 phi''(0) diag V(x) dt, driven by the same layer
+    increment h (:func:`depthflow.resnet._layer_increment`), so the mean
+    term of the drift rides in h. ``noise`` as in
+    :func:`depthflow.resnet.resnet_forward`. Diverged trajectories
+    (non-finite or with norm above :data:`depthflow.resnet.HARD_CAP`) are
+    flagged and frozen.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -170,26 +170,17 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
     if D != law.dim:
         raise ConfigError(f"x0 rows have length {D}, law dimension is {law.dim}")
     dt = T / L
-    sqdt = np.sqrt(dt)
     mode = choose_sampler(law, N, D, noise)
 
     def step(x, rng, l):
         px = coeffs.psi(x)
-        drift = _batched_drift(coeffs, px, x.shape)
-        if mode == "materialized":
-            epsW = rng.standard_normal((x.shape[0], D, D))
-            epsb = rng.standard_normal((x.shape[0], D))
-            term = _scaled_noise_term(law, px, epsW, epsb)
-        else:
-            term = _projected_term(law, rng, _batched_psd_factor(px))
-        # x + drift dt + phi'(0) term sqrt(dt), built in the noise term's
-        # buffer: a step that frees many temporaries at once lets the
-        # allocator return the memory to the system and fault it in again
-        # every layer
-        term *= coeffs.phi.dphi0
-        term *= sqdt
-        term += x + drift * dt
-        return term
+        # built in h's buffer: a step that frees many temporaries at once
+        # lets the allocator return the memory to the system and fault it
+        # in again every layer
+        h = _layer_increment(law, rng, px, mode, dt)
+        h *= coeffs.phi.dphi0
+        h += x + _batched_drift(coeffs, px) * dt
+        return h
 
     return _propagate(x0_batch, n_draws, seed, L, dt, step, cap=HARD_CAP,
                       store_stride=store_stride)

@@ -4,12 +4,16 @@ import json
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from depthflow import (ExperimentConfig, apply_overrides, load_config,
                        parse_config, run_experiment, save_config)
 from depthflow.cli import entry, main
 from depthflow.errors import ConfigError
-from depthflow.experiments import (fmt, read_svg_matrix, svg_heatmap,
+from depthflow.experiments import (DATASET_KEYS, EXPERIMENT_KINDS,
+                                   MODEL_KINDS, AbcSpec, ModelSpec, SgdSpec,
+                                   fmt, read_svg_matrix, svg_heatmap,
                                    write_csv)
 
 
@@ -55,11 +59,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="model.depth"):
             parse_config({"experiment": "abc",
                           "model": {"depth": "many"}})
+        # int(inf) raises OverflowError, not ValueError
+        with pytest.raises(ConfigError, match="model.depth"):
+            parse_config({"experiment": "abc",
+                          "model": {"depth": float("inf")}})
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({"experiment": "abc", "seed": float("inf")})
 
-    @pytest.mark.parametrize("key", ["depth", "width"])
-    def test_nonpositive_model_size_rejected(self, key):
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("depth", 0, id="depth"),
+        pytest.param("width", 0, id="width"),
+        pytest.param("horizon", 0.0, id="horizon"),
+        pytest.param("sigma_w2", float("nan"), id="sigma_w2-nan"),
+    ])
+    def test_nonpositive_model_size_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"model.{key}"):
-            parse_config({"experiment": "abc", "model": {key: 0}})
+            parse_config({"experiment": "abc", "model": {key: value}})
 
     @pytest.mark.parametrize("train, where", [
         ({"depths": ["eight"]}, "train.depths"),
@@ -68,6 +83,9 @@ class TestConfigParsing:
         ({"modes": [None]}, "train.modes"),
         ({"dataset": {"kind": "toy_blobs", "n": "many"}}, "train.dataset.n"),
         ({"dataset": {"kind": "idx", "test_n": [1]}}, "train.dataset.test_n"),
+        ({"dataset": {1: 2, "kind": "toy_blobs"}}, "train.dataset.*1"),
+        ({"dataset": {"kind": "toy_blobs", "clases": 3}},
+         "train.dataset.*clases"),
     ])
     def test_train_entries_coerced(self, train, where):
         with pytest.raises(ConfigError, match=where):
@@ -101,6 +119,62 @@ class TestConfigParsing:
         assert (paper.model.depth, paper.model.width) == (500, 500)
         with pytest.raises(ConfigError, match="scale"):
             apply_overrides(cfg, scale="huge")
+
+
+# the words a config's string values are checked against
+CONFIG_WORDS = (EXPERIMENT_KINDS + MODEL_KINDS
+                + ("tanh", "swish", "identity", "relu", "reparametrized",
+                   "standard", "toy_blobs", "idx"))
+
+
+def _fields(spec):
+    return [f.name for f in dataclasses.fields(spec)]
+
+
+def config_mappings(keys, nested=None, max_size=3):
+    """Mappings over a few of ``keys``: each value is the key's own block
+    (from ``nested``) or anything, including mappings over ``keys``."""
+    nested = nested or {}
+    keys = sorted(keys)
+    anything = st.recursive(
+        st.none() | st.booleans() | st.floats()
+        # small, so that inputs.grid.points cannot ask for a huge array
+        | st.integers(-10_000, 10_000)
+        | st.sampled_from(CONFIG_WORDS) | st.text(max_size=4),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.sampled_from(keys), inner,
+                                         max_size=3)),
+        max_leaves=6)
+    entry = st.sampled_from(keys).flatmap(lambda k: st.tuples(
+        st.just(k), nested.get(k, st.nothing()) | anything))
+    return st.lists(entry, max_size=max_size).map(dict)
+
+
+CONFIGS = st.builds(
+    lambda kind, rest: {**rest, "experiment": kind},
+    st.sampled_from(EXPERIMENT_KINDS),
+    config_mappings(
+        ["seed", "out", "model", "inputs", "draws", "functions", "train",
+         "abc"],
+        {"model": config_mappings(_fields(ModelSpec)),
+         "inputs": config_mappings(["values", "grid"], {
+             "grid": config_mappings(["start", "stop", "points"])}),
+         "train": config_mappings(_fields(SgdSpec), {
+             "dataset": config_mappings(DATASET_KEYS)}),
+         "abc": config_mappings(_fields(AbcSpec))}))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@example(raw={"experiment": "sanity_check", "seed": float("inf")})
+@example(raw={"experiment": "sgd",
+              "train": {"dataset": {1: 2, "kind": "toy_blobs"}}})
+@given(raw=CONFIGS)
+def test_parse_config_yields_config_or_config_error(raw):
+    try:
+        cfg = parse_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 class TestOutputHelpers:
@@ -243,16 +317,40 @@ class TestCliEntry:
         code = main(["sanity_check", "--config", str(path)])
         assert code == 2
 
-    @pytest.mark.parametrize("key", ["depth", "width"])
+    @pytest.mark.parametrize("key, value", [
+        pytest.param("depth", 0, id="depth"),
+        pytest.param("width", 0, id="width"),
+        pytest.param("horizon", 0.0, id="horizon"),
+        pytest.param("sigma_w2", float("nan"), id="sigma_w2-nan"),
+    ])
     def test_nonpositive_model_size_leaves_no_directory(self, tmp_path,
-                                                        capsys, key):
+                                                        capsys, key, value):
         raw = tiny_overrides("abc", tmp_path / "o",
                              abc={"observations": [[0.0, 0.2]],
                                   "prior_draws": 20, "keep": 2})
-        raw["model"][key] = 0
+        raw["model"][key] = value
         code = main(["abc", "--config", str(write_config(tmp_path, raw))])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("top, abc, where", [
+        ({"seed": float("inf")}, {}, "seed"),
+        ({}, {"keep": 0}, "abc.keep"),
+        ({}, {"prior_draws": -5, "keep": -10}, "abc.keep"),
+        ({}, {"eoc_sigma_b2": -0.1}, "abc.eoc_sigma_b2"),
+    ], ids=["seed-inf", "keep-0", "keep-negative", "eoc-sigma-negative"])
+    def test_bad_values_leave_no_directory(self, tmp_path, capsys, top, abc,
+                                           where):
+        raw = tiny_overrides("abc", tmp_path / "o",
+                             abc={"observations": [[0.0, 0.2]],
+                                  "prior_draws": 20, "keep": 2, **abc},
+                             **top)
+        code = main(["abc", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert where in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_off_grid_observation_leaves_no_directory(self, tmp_path,

@@ -57,7 +57,8 @@ class TestResnetForward:
         # a zero-variance law draws zero increments, and tanh(0) = 0
         model = iid_model(5, 3, sigma_w=0.0, sigma_b=0.0)
         x0 = np.array([[0.2, -0.4, 1.0]])
-        for noise in ("materialized", "projected"):
+        assert choose_sampler(model.law, 1, 3) == "projected"
+        for noise in ("materialized", "auto"):
             batch = resnet_forward(model, x0, 3, SeedSpec(0), store_stride=1,
                                    noise=noise)
             assert np.array_equal(batch.states,
@@ -161,8 +162,8 @@ class TestResnetForward:
         x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
         a = resnet_forward(model, x0, 4_000, SeedSpec(23, "proj"),
                            noise="materialized")
-        b = resnet_forward(model, x0, 4_000, SeedSpec(29, "projb"),
-                           noise="projected")
+        assert choose_sampler(model.law, N, D) == "projected"
+        b = resnet_forward(model, x0, 4_000, SeedSpec(29, "projb"))
         for n in range(N):
             stat, thr = ks_two_sample(a.xT[:, n, 0], b.xT[:, n, 0])
             assert stat <= thr
@@ -170,15 +171,6 @@ class TestResnetForward:
         stat, thr = ks_two_sample(a.xT[:, -1, 0] - a.xT[:, 0, 0],
                                   b.xT[:, -1, 0] - b.xT[:, 0, 0])
         assert stat <= thr
-
-    def test_projected_requires_iid_law(self):
-        law = MatrixNormalLaw(np.zeros((2, 2)), np.zeros(2), np.eye(2),
-                              np.eye(2), np.eye(2))
-        model = ModelConfig(depth=2, width=2, horizon=1.0, phi=TANH,
-                            psi=IDENTITY, law=law)
-        with pytest.raises(ConfigError):
-            resnet_forward(model, np.zeros((1, 2)), 1, SeedSpec(0),
-                           noise="projected")
 
     def test_width_mismatch_rejected(self):
         model = iid_model(2, 3)
@@ -212,10 +204,11 @@ class TestSamplerChoice:
 
     def test_explicit_override_kept(self):
         law = FullyIidLaw(1.0, 1.0, dim=64)
+        # materialized is the one override; projected is auto's to choose
         assert choose_sampler(law, 2, 64, "materialized") == "materialized"
-        assert choose_sampler(law, 400, 64, "projected") == "projected"
-        with pytest.raises(ConfigError):
-            choose_sampler(law, 2, 64, "eigh")
+        for noise in ("projected", "eigh"):
+            with pytest.raises(ConfigError):
+                choose_sampler(law, 2, 64, noise)
 
 
 class TestProjectedFactor:
@@ -334,9 +327,12 @@ class TestPropagationKernel:
     """The chunked kernel behind the residual, SDE and feedforward samplers."""
 
     @staticmethod
-    def run(sampler, noise, n_draws):
+    def run(sampler, mode, n_draws):
+        # N = 2 inputs at D = 8: auto picks the projected draw
         D = 8
+        noise = "auto" if mode == "projected" else mode
         x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
+        assert choose_sampler(FullyIidLaw(1.0, 1.0, D), 2, D, noise) == mode
         seed = SeedSpec(43, f"prefix/{sampler}")
         if sampler == "resnet":
             return resnet_forward(iid_model(4, D), x0, n_draws, seed,
@@ -350,19 +346,19 @@ class TestPropagationKernel:
                                 activation=TANH)
         return feedforward_forward(cfg, x0, n_draws, seed, noise=noise)
 
-    @pytest.mark.parametrize("noise", ["materialized", "projected"])
+    @pytest.mark.parametrize("mode", ["materialized", "projected"])
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
-    def test_chunk_prefix_invariance(self, sampler, noise):
+    def test_chunk_prefix_invariance(self, sampler, mode):
         # a 600-draw run spans chunks [0, 256), [256, 512), [512, 600); its
         # whole chunks are the same draws, bit for bit, in a shorter run.
         # The projected draw, one (chunk, D, K + 1) block per layer, keeps
         # a partial chunk's leading draws too; the materialized draw reads
         # the bias normals after all chunk x D x D weight normals, so its
         # partial chunks depend on their size.
-        full = self.run(sampler, noise, 600)
+        full = self.run(sampler, mode, 600)
         for n in (300, 512):
-            part = self.run(sampler, noise, n)
-            same = n if noise == "projected" else n - n % DRAW_CHUNK
+            part = self.run(sampler, mode, n)
+            same = n if mode == "projected" else n - n % DRAW_CHUNK
             assert same >= DRAW_CHUNK
             assert np.array_equal(full.states[:same], part.states[:same])
             assert np.array_equal(full.diverged[:same], part.diverged[:same])

@@ -12,6 +12,7 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps
+from depthflow.resnet import choose_sampler
 
 
 def iid_coeffs(D, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY):
@@ -233,8 +234,8 @@ class TestSimulatePaths:
         x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
         a = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(15, "pm"),
                            noise="materialized")
-        b = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(16, "pm2"),
-                           noise="projected")
+        assert choose_sampler(coeffs.law, N, D) == "projected"
+        b = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(16, "pm2"))
         for n in range(N):
             stat, thr = ks_two_sample(a.xT[:, n, 0], b.xT[:, n, 0])
             assert stat <= thr
