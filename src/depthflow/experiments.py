@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -110,13 +111,19 @@ def _typed(raw: dict, path: str, key: str, kind, default):
                 raise ValueError
             return int(value)
         if kind is float:
-            return float(value)
+            return _finite(float(value), loc)
         if kind is str:
             if not isinstance(value, str):
                 raise ValueError
             return value
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{loc}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _finite(value: float, loc: str) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{loc}: must be finite, got {value}")
     return value
 
 
@@ -186,7 +193,7 @@ def _parse_inputs(raw) -> tuple:
         if not isinstance(values, list) or not values:
             raise ConfigError("inputs.values: expected a non-empty list")
         try:
-            return tuple(float(v) for v in values)
+            return tuple(_finite(float(v), "inputs.values") for v in values)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"inputs.values: non-numeric entry in {values!r}")
     if "grid" in raw:
@@ -198,6 +205,8 @@ def _parse_inputs(raw) -> tuple:
         _reject_unknown(grid, "inputs.grid")
         if points < 1 or not stop > start:
             raise ConfigError("inputs.grid: need points >= 1 and stop > start")
+        # finite ends far apart can still overflow the spacing
+        _finite(stop - start, "inputs.grid: stop - start")
         return tuple(np.linspace(start, stop, points).tolist())
     raise ConfigError("inputs: expected a 'values' list or a 'grid' block")
 
@@ -237,12 +246,12 @@ def _parse_abc(raw: dict) -> AbcSpec:
         raise ConfigError("abc.observations: expected a list of [z, y] pairs")
     pairs = []
     for k, pair in enumerate(obs):
+        loc = f"abc.observations[{k}]"
         try:
             z, y = pair
-            pairs.append((float(z), float(y)))
+            pairs.append((_finite(float(z), loc), _finite(float(y), loc)))
         except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"abc.observations[{k}]: expected a [z, y] pair,"
-                              f" got {pair!r}")
+            raise ConfigError(f"{loc}: expected a [z, y] pair, got {pair!r}")
     spec = AbcSpec(
         observations=tuple(pairs),
         prior_draws=_typed(raw, "abc", "prior_draws", int, 10000),

@@ -244,13 +244,15 @@ def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
 
 
 def scale_eps(law: ParamLaw, epsW: np.ndarray, epsb: np.ndarray):
-    """Apply the law's deterministic scaling to raw noises.
+    """Apply the law's deterministic scaling to raw noises, in place.
 
     Only the fully i.i.d. law scales here (sigma_w/sqrt(D) on weights,
     sigma_b on biases); the other laws bake the covariance into the noise.
+    Returns the two arrays it was given.
     """
     if isinstance(law, FullyIidLaw):
-        return (law.sigma_w / np.sqrt(law.dim)) * epsW, law.sigma_b * epsb
+        epsW *= law.sigma_w / np.sqrt(law.dim)
+        epsb *= law.sigma_b
     return epsW, epsb
 
 

@@ -5,7 +5,10 @@ parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, and the
 SDE sampler in :mod:`depthflow.sde`, run on one propagation kernel
 (:func:`_propagate`), chunked over draws with one noise stream per
 (chunk, layer), so results are reproducible and independent of how work is
-scheduled.
+scheduled. A layer's noise is drawn independently of the state it drives,
+so the kernel draws the next (chunk, layer)'s noise on a worker thread
+while the current layer computes; the outputs are those of the serial
+loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -121,39 +124,41 @@ def _batched_psd_factor(psi_x: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.swapaxes(psi_x, -1, -2), mode="r")
 
 
-def _layer_increment(law, rng: np.random.Generator, px: np.ndarray,
-                     mode: str, dt: float) -> np.ndarray:
+def _layer_increment(law, eps, px: np.ndarray, mode: str,
+                     dt: float) -> np.ndarray:
     """One layer's increment h = psi(x) dW^T + db for every input.
 
-    ``px`` holds the (chunk, N, D) states psi(x); the parameters (dW, db)
-    = mean dt + sqrt(dt) noise are shared by the N inputs of a draw, and
-    h has the shape of ``px``. ``mode`` is :func:`choose_sampler`'s:
-    ``"materialized"`` draws the full D x D weight noise; ``"projected"``
-    (fully i.i.d. law) draws h from its exact Gaussian law given the
-    states, as Z R with R = :func:`_batched_psd_factor` of ``px`` and Z a
-    D x min(N, D) normal.
+    ``px`` holds the (chunk, N, D) states psi(x) and ``eps`` the layer's
+    raw noise pair from :func:`depthflow.laws.sample_eps`; the parameters
+    (dW, db) = mean dt + sqrt(dt) noise are shared by the N inputs of a
+    draw, and h has the shape of ``px``. ``mode`` is
+    :func:`choose_sampler`'s: ``"materialized"`` takes the full D x D
+    weight noise; ``"projected"`` (fully i.i.d. law) draws h from its exact
+    Gaussian law given the states, as Z R with R =
+    :func:`_batched_psd_factor` of ``px`` and Z the D x min(N, D) normal.
     """
     sqdt = np.sqrt(dt)
+    sW, sb = scale_eps(law, *eps)
     if mode == "projected":
         R = _batched_psd_factor(px)
-        sW, sb = scale_eps(law, *sample_eps(law, rng, px.shape[0],
-                                            cols=R.shape[-2]))
-        # C order: the SDE step builds its next state in this buffer, and
-        # the drift's einsum over the state sums in a layout-dependent order
-        h = np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], order="C")
+        # R^T Z^T comes out in h's own C-contiguous layout, with no
+        # (chunk, D, N) temporary: the SDE step builds its next state in
+        # this buffer, and the drift's einsum over it sums in a
+        # layout-dependent order
+        h = np.swapaxes(R, -1, -2) @ np.swapaxes(sW, -1, -2)
+        h += sb[:, None, :]
         h *= sqdt
         return h
-    dW, db = scale_eps(law, *sample_eps(law, rng, px.shape[0]))
     # in place, here and below: a fresh (chunk, D, D) or (chunk, N, D)
     # temporary per operation costs page faults and time at large
     # chunk x N x D
-    dW *= sqdt
-    db *= sqdt
+    sW *= sqdt
+    sb *= sqdt
     if not isinstance(law, FullyIidLaw):
-        dW += law.mean_W * dt
-        db += law.mean_b * dt
-    h = px @ np.swapaxes(dW, 1, 2)
-    h += db[:, None, :]
+        sW += law.mean_W * dt
+        sb += law.mean_b * dt
+    h = px @ np.swapaxes(sW, 1, 2)
+    h += sb[:, None, :]
     return h
 
 
@@ -175,43 +180,68 @@ def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
 
 
 def _propagate(x0: np.ndarray, n_draws: int, seed: SeedSpec, depth: int,
-               dt: float, step, cap: float | None = None,
+               dt: float, step, law, mode: str, cap: float | None = None,
                store_stride: int | None = None) -> PathBatch:
     """Run ``depth`` steps of ``step`` on N inputs for ``n_draws`` draws.
 
     ``x0`` is the (N, D) initial state shared by every draw. Draws run in
     chunks of ``DRAW_CHUNK``; layer ``l`` of chunk ``c`` reads its noise
-    from the stream ``seed.with_stream(replicate=c, layer=l)``, so the
-    trajectories of a whole chunk do not depend on how many draws run.
-    ``step(x, rng, l)`` maps the (chunk, N, D) states to the next ones,
-    with overflow and invalid-value warnings off; rows that go non-finite
-    or whose norm passes ``cap`` are flagged and frozen
+    from the stream ``seed.with_stream(replicate=c, layer=l)``, drawn by
+    :func:`depthflow.laws.sample_eps` for ``law`` (the projected shape when
+    ``mode`` is ``"projected"``), so the trajectories of a whole chunk do
+    not depend on how many draws run. ``step(x, eps, l)`` maps the
+    (chunk, N, D) states to the next ones given that noise pair, with
+    overflow and invalid-value warnings off; rows that go non-finite or
+    whose norm passes ``cap`` are flagged and frozen
     (:func:`_freeze_diverged`). States are stored at step 0, every
     ``store_stride`` steps and the last step, at times ``step * dt``.
+
+    The noise of a layer does not depend on the states it drives, so one
+    worker thread draws the next (chunk, layer)'s noise while this one
+    computes. Each stream is drawn by the same call as in a serial loop,
+    so the output does not change; the worker is gone on return.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
+    # imported here: the module costs about 10 ms, paid by the first run
+    # instead of every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     N, D = x0.shape
+    cols = min(N, D) if mode == "projected" else None
     keep = _store_plan(depth, store_stride)
     states = np.empty((n_draws, N, keep.size, D))
     diverged = np.zeros((n_draws, N), dtype=bool)
 
-    for start in range(0, n_draws, DRAW_CHUNK):
-        stop = min(start + DRAW_CHUNK, n_draws)
-        rep = start // DRAW_CHUNK
-        x = np.broadcast_to(x0, (stop - start, N, D)).copy()
-        div = np.zeros((stop - start, N), dtype=bool)
-        states[start:stop, :, 0, :] = x
-        kpos = 1
-        for l in range(depth):
-            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_new = step(x, rng, l)
-            x, div = _freeze_diverged(x_new, x, div, cap=cap)
-            if kpos < keep.size and keep[kpos] == l + 1:
-                states[start:stop, :, kpos, :] = x
-                kpos += 1
-        diverged[start:stop] = div
+    def draw(start, l):
+        rng = make_rng(seed.with_stream(replicate=start // DRAW_CHUNK,
+                                        layer=l))
+        # warning state is per thread; the draw keeps the step's
+        with np.errstate(over="ignore", invalid="ignore"):
+            return sample_eps(law, rng, min(DRAW_CHUNK, n_draws - start),
+                              cols)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        ahead = pool.submit(draw, 0, 0)
+        for start in range(0, n_draws, DRAW_CHUNK):
+            stop = min(start + DRAW_CHUNK, n_draws)
+            x = np.broadcast_to(x0, (stop - start, N, D)).copy()
+            div = np.zeros((stop - start, N), dtype=bool)
+            states[start:stop, :, 0, :] = x
+            kpos = 1
+            for l in range(depth):
+                eps = ahead.result()
+                following = ((start, l + 1) if l + 1 < depth
+                             else (start + DRAW_CHUNK, 0))
+                if following[0] < n_draws:
+                    ahead = pool.submit(draw, *following)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    x_new = step(x, eps, l)
+                x, div = _freeze_diverged(x_new, x, div, cap=cap)
+                if kpos < keep.size and keep[kpos] == l + 1:
+                    states[start:stop, :, kpos, :] = x
+                    kpos += 1
+            diverged[start:stop] = div
 
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
@@ -239,13 +269,13 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
     phi, psi = config.phi, config.psi
     mode = choose_sampler(law, N, D, noise)
 
-    def step(x, rng, l):
-        y = phi(_layer_increment(law, rng, psi(x), mode, dt))
+    def step(x, eps, l):
+        y = phi(_layer_increment(law, eps, psi(x), mode, dt))
         y += x
         return y
 
-    return _propagate(x0_batch, n_draws, seed, config.depth, dt, step,
-                      cap=HARD_CAP, store_stride=store_stride)
+    return _propagate(x0_batch, n_draws, seed, config.depth, dt, step, law,
+                      mode, cap=HARD_CAP, store_stride=store_stride)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
@@ -273,10 +303,11 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
                       sigma_b=np.sqrt(cfg.sigma_b2), dim=D)
     mode = choose_sampler(law, N, D, noise)
 
-    def step(h, rng, l):
-        return _layer_increment(law, rng, h if l == 0 else phi(h), mode, 1.0)
+    def step(h, eps, l):
+        return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
 
-    return _propagate(x0_batch, n_draws, seed, cfg.depth, 1.0, step)
+    return _propagate(x0_batch, n_draws, seed, cfg.depth, 1.0, step, law,
+                      mode)
 
 
 @lru_cache(maxsize=1)

@@ -172,18 +172,18 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
     dt = T / L
     mode = choose_sampler(law, N, D, noise)
 
-    def step(x, rng, l):
+    def step(x, eps, l):
         px = coeffs.psi(x)
         # built in h's buffer: a step that frees many temporaries at once
         # lets the allocator return the memory to the system and fault it
         # in again every layer
-        h = _layer_increment(law, rng, px, mode, dt)
+        h = _layer_increment(law, eps, px, mode, dt)
         h *= coeffs.phi.dphi0
         h += x + _batched_drift(coeffs, px) * dt
         return h
 
-    return _propagate(x0_batch, n_draws, seed, L, dt, step, cap=HARD_CAP,
-                      store_stride=store_stride)
+    return _propagate(x0_batch, n_draws, seed, L, dt, step, law, mode,
+                      cap=HARD_CAP, store_stride=store_stride)
 
 
 def linear_growth_check(coeffs: SdeCoefficients,

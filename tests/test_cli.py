@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -39,6 +40,23 @@ def write_config(tmp_path, raw, name="cfg.yaml"):
     return path
 
 
+INF, NAN = float("inf"), float("nan")
+
+# (config entries, key the error must name): non-finite values that parse
+# as floats
+NON_FINITE = [
+    pytest.param({"inputs": {"grid": {"start": -INF}}}, "inputs.grid.start",
+                 id="grid-start"),
+    pytest.param({"inputs": {"values": [NAN, 1.0]}}, "inputs.values",
+                 id="values-nan"),
+    pytest.param({"model": {"sigma_w2": INF}}, "model.sigma_w2",
+                 id="sigma_w2"),
+    pytest.param({"model": {"sigma_b2": INF}}, "model.sigma_b2",
+                 id="sigma_b2"),
+    pytest.param({"model": {"horizon": INF}}, "model.horizon", id="horizon"),
+]
+
+
 class TestConfigParsing:
     def test_defaults_fill_in(self):
         cfg = parse_config({"experiment": "sanity_check"})
@@ -75,6 +93,16 @@ class TestConfigParsing:
     def test_nonpositive_model_size_rejected(self, key, value):
         with pytest.raises(ConfigError, match=f"model.{key}"):
             parse_config({"experiment": "abc", "model": {key: value}})
+
+    @pytest.mark.parametrize("entries, where", NON_FINITE + [
+        pytest.param({"inputs": {"grid": {"start": -1e308, "stop": 1e308}}},
+                     "inputs.grid", id="grid-spacing-overflows"),
+        pytest.param({"abc": {"observations": [[0.0, NAN]]}},
+                     r"abc.observations\[0\]", id="observation-nan"),
+    ])
+    def test_non_finite_value_names_key(self, entries, where):
+        with pytest.raises(ConfigError, match=f"{where}.*finite"):
+            parse_config({"experiment": "abc", **entries})
 
     @pytest.mark.parametrize("train, where", [
         ({"depths": ["eight"]}, "train.depths"),
@@ -168,6 +196,13 @@ CONFIGS = st.builds(
 @example(raw={"experiment": "sanity_check", "seed": float("inf")})
 @example(raw={"experiment": "sgd",
               "train": {"dataset": {1: 2, "kind": "toy_blobs"}}})
+@example(raw={"experiment": "corr_heatmap",
+              "inputs": {"grid": {"start": -INF}}})
+@example(raw={"experiment": "function_space",
+              "inputs": {"values": [NAN, 1.0]}})
+@example(raw={"experiment": "sanity_check", "model": {"sigma_w2": INF}})
+@example(raw={"experiment": "sanity_check", "model": {"sigma_b2": INF}})
+@example(raw={"experiment": "sanity_check", "model": {"horizon": INF}})
 @given(raw=CONFIGS)
 def test_parse_config_yields_config_or_config_error(raw):
     try:
@@ -175,6 +210,15 @@ def test_parse_config_yields_config_or_config_error(raw):
     except ConfigError:
         return
     assert isinstance(cfg, ExperimentConfig)
+    assert all(map(math.isfinite, _floats(dataclasses.astuple(cfg))))
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, tuple):
+        for entry in value:
+            yield from _floats(entry)
 
 
 class TestOutputHelpers:
@@ -335,11 +379,14 @@ class TestCliEntry:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("top, abc, where", [
-        ({"seed": float("inf")}, {}, "seed"),
-        ({}, {"keep": 0}, "abc.keep"),
-        ({}, {"prior_draws": -5, "keep": -10}, "abc.keep"),
-        ({}, {"eoc_sigma_b2": -0.1}, "abc.eoc_sigma_b2"),
-    ], ids=["seed-inf", "keep-0", "keep-negative", "eoc-sigma-negative"])
+        pytest.param({"seed": INF}, {}, "seed", id="seed-inf"),
+        pytest.param({}, {"keep": 0}, "abc.keep", id="keep-0"),
+        pytest.param({}, {"prior_draws": -5, "keep": -10}, "abc.keep",
+                     id="keep-negative"),
+        pytest.param({}, {"eoc_sigma_b2": -0.1}, "abc.eoc_sigma_b2",
+                     id="eoc-sigma-negative"),
+    ] + [pytest.param(case.values[0], {}, case.values[1],
+                      id=f"non-finite-{case.id}") for case in NON_FINITE])
     def test_bad_values_leave_no_directory(self, tmp_path, capsys, top, abc,
                                            where):
         raw = tiny_overrides("abc", tmp_path / "o",

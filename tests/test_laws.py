@@ -6,7 +6,7 @@ from depthflow import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw,
                        psd_sqrt, time_change_rescale)
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError, NotPsdError
-from depthflow.laws import sample_eps
+from depthflow.laws import sample_eps, scale_eps
 
 
 def random_psd(rng, n):
@@ -140,6 +140,29 @@ class TestSampling:
                   for l in (0, 1))
         assert not np.array_equal(l0[0], l1[0])
         assert not np.array_equal(l0[1], l1[1])
+
+    @pytest.mark.parametrize("law_kind, cols", [
+        ("iid", None),
+        # the projected draw's two arrays are views into one block
+        ("iid", 2),
+        # the covariance is baked into the noise: a scale of 1
+        ("matrix_normal", None)])
+    def test_scale_eps_scales_in_place(self, law_kind, cols):
+        if law_kind == "iid":
+            law = FullyIidLaw(sigma_w=1.3, sigma_b=0.7, dim=5)
+            cw, cb = 1.3 / np.sqrt(5), 0.7
+        else:
+            law = MatrixNormalLaw(muW=np.zeros((5, 5)), mub=np.zeros(5),
+                                  sigmaWO=2 * np.eye(5), sigmaWI=np.eye(5),
+                                  sigmab=np.eye(5))
+            cw, cb = 1.0, 1.0
+        epsW, epsb = sample_eps(law, make_rng(SeedSpec(13, "scale")), 3,
+                                cols)
+        want = (cw * epsW, cb * epsb)
+        got = scale_eps(law, epsW, epsb)
+        assert got[0] is epsW and got[1] is epsb
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
 
 
 class TestConditionalVariance:

@@ -1,3 +1,6 @@
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,9 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
-from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, _batched_psd_factor,
-                              _freeze_diverged, choose_sampler)
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, PathBatch,
+                              _batched_psd_factor, _freeze_diverged,
+                              _store_plan, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -394,6 +398,146 @@ class TestPropagationKernel:
                        default=0)
             want = x0[i] if last == 0 else runs[last].xT[d, i]
             assert np.array_equal(deep.xT[d, i], want)
+
+
+def serial_propagate(x0, n_draws, seed, depth, dt, step, law, mode, cap=None,
+                     store_stride=None):
+    """The propagation kernel as a plain loop: for each (chunk, layer),
+    build the stream's generator, draw its noise, then take the step."""
+    N, D = x0.shape
+    cols = min(N, D) if mode == "projected" else None
+    keep = _store_plan(depth, store_stride)
+    states = np.empty((n_draws, N, keep.size, D))
+    diverged = np.zeros((n_draws, N), dtype=bool)
+    for start in range(0, n_draws, DRAW_CHUNK):
+        n = min(DRAW_CHUNK, n_draws - start)
+        x = np.broadcast_to(x0, (n, N, D)).copy()
+        div = np.zeros((n, N), dtype=bool)
+        trail = [x]
+        for l in range(depth):
+            rng = make_rng(seed.with_stream(replicate=start // DRAW_CHUNK,
+                                            layer=l))
+            eps = sample_eps(law, rng, n, cols)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_new = step(x, eps, l)
+            x, div = _freeze_diverged(x_new, x, div, cap=cap)
+            trail.append(x)
+        states[start:start + n] = np.stack(trail, axis=2)[:, :, keep]
+        diverged[start:start + n] = div
+    return PathBatch(times=keep * dt, states=states, diverged=diverged)
+
+
+class TestNoiseLookahead:
+    """The kernel draws the next (chunk, layer)'s noise on a worker thread
+    while the current layer computes."""
+
+    @staticmethod
+    def run(sampler, noise, law_kind="iid"):
+        # 600 draws: two whole chunks and a partial one. At these scales
+        # some draws but not all pass the cap (swish) or overflow (relu at
+        # sigma_w2 = 1e200), so the flags are compared too.
+        D, depth = 8, 4
+        x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
+        seed = SeedSpec(53, f"ahead/{sampler}")
+        if sampler == "feedforward":
+            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=1e200,
+                                    sigma_b2=1.0, activation=RELU)
+            return feedforward_forward(cfg, x0, 600, seed, noise=noise)
+        scale, horizon = (4.0, 2.0) if sampler == "sde" else (16.0, 16.0)
+        if law_kind == "iid":
+            law = FullyIidLaw(sigma_w=scale, sigma_b=scale, dim=D)
+        else:
+            rng = np.random.default_rng(5)
+            law = MatrixNormalLaw(muW=rng.standard_normal((D, D)),
+                                  mub=rng.standard_normal(D),
+                                  sigmaWO=scale / 2 * np.eye(D) + 0.2,
+                                  sigmaWI=np.eye(D), sigmab=np.eye(D))
+        if sampler == "sde":
+            return simulate_paths(SdeCoefficients(law, SWISH, IDENTITY), x0,
+                                  depth, horizon, 600, seed, store_stride=1,
+                                  noise=noise)
+        model = ModelConfig(depth=depth, width=D, horizon=horizon, phi=SWISH,
+                            psi=IDENTITY, law=law)
+        return resnet_forward(model, x0, 600, seed, store_stride=1,
+                              noise=noise)
+
+    @pytest.mark.parametrize("sampler, noise, law_kind", [
+        ("resnet", "auto", "iid"), ("resnet", "materialized", "iid"),
+        ("sde", "auto", "iid"), ("sde", "materialized", "iid"),
+        ("feedforward", "auto", "iid"),
+        ("feedforward", "materialized", "iid"),
+        # its sample_eps runs matmuls on the worker
+        ("resnet", "auto", "matrix_normal")])
+    def test_matches_serial_loop(self, monkeypatch, sampler, noise,
+                                 law_kind):
+        got = self.run(sampler, noise, law_kind)
+        monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
+        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
+        want = self.run(sampler, noise, law_kind)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    def test_draw_failure_raised_and_worker_stopped(self, monkeypatch):
+        model = iid_model(4, 8)
+        x0 = np.ones((2, 8))
+        before = threading.active_count()
+        drawers, layer_of = set(), {}
+        error = RuntimeError("draw failed at layer 2")
+
+        def tagged_rng(seed):
+            rng = make_rng(seed)
+            layer_of[id(rng)] = seed.layer
+            return rng
+
+        def failing_draw(law, rng, n, cols=None):
+            drawers.add(threading.current_thread())
+            if layer_of[id(rng)] == 2:
+                raise error
+            return sample_eps(law, rng, n, cols)
+
+        monkeypatch.setattr("depthflow.resnet.make_rng", tagged_rng)
+        monkeypatch.setattr("depthflow.resnet.sample_eps", failing_draw)
+        with pytest.raises(RuntimeError) as info:
+            resnet_forward(model, x0, 300, SeedSpec(59, "ahead/fail"))
+        assert info.value is error
+        assert threading.active_count() == before
+        # one worker made every draw, off the calling thread
+        assert len(drawers) == 1
+        assert threading.current_thread() not in drawers
+
+        monkeypatch.undo()
+        resnet_forward(model, x0, 300, SeedSpec(59, "ahead/fail"))
+        assert threading.active_count() == before
+
+    def test_draw_keeps_the_step_warning_state(self):
+        # the weight noise overflows inside sample_eps, on the worker; as
+        # in the step, that is counted as divergence, not warned about
+        D = 4
+        law = MatrixNormalLaw(muW=np.zeros((D, D)), mub=np.zeros(D),
+                              sigmaWO=1e308 * np.eye(D), sigmaWI=np.eye(D),
+                              sigmab=np.eye(D))
+        model = ModelConfig(depth=2, width=D, horizon=1.0, phi=TANH,
+                            psi=IDENTITY, law=law)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = resnet_forward(model, np.ones((1, D)), 20,
+                                   SeedSpec(67, "ahead/warn"))
+        assert batch.diverged.any()
+
+    def test_step_failure_stops_worker(self, monkeypatch):
+        before = threading.active_count()
+
+        def failing_guard(*args, **kwargs):
+            raise FloatingPointError("guard")
+
+        monkeypatch.setattr("depthflow.resnet._freeze_diverged",
+                            failing_guard)
+        with pytest.raises(FloatingPointError):
+            resnet_forward(iid_model(4, 8), np.ones((2, 8)), 300,
+                           SeedSpec(61, "ahead/step"))
+        assert threading.active_count() == before
 
 
 class TestFeedforward:
