@@ -22,10 +22,10 @@ import yaml
 from .activations import get_activation
 from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DepthflowError
-from .laws import FullyIidLaw, sample_eps, scale_eps
-from .resnet import (DRAW_CHUNK, HARD_CAP, FeedforwardConfig,
-                     _batched_psd_factor, _freeze_diverged, eoc_solve,
-                     feedforward_forward, resnet_forward)
+from .laws import FullyIidLaw, scale_eps
+from .resnet import (DRAW_CHUNK, HARD_CAP, FeedforwardConfig, _propagate,
+                     _stream_draw, eoc_solve, feedforward_forward,
+                     resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
 from .train import Dataset, TrainConfig, load_idx, sgd_run, toy_blobs
@@ -237,6 +237,14 @@ def _parse_sgd(raw: dict) -> SgdSpec:
     for mode in spec.modes:
         if mode not in ("reparametrized", "standard"):
             raise ConfigError(f"train.modes: unknown mode {mode!r}")
+    sizes = {"depths": min(spec.depths), "widths": min(spec.widths),
+             "batch_size": spec.batch_size, "epochs": spec.epochs}
+    for key, value in sizes.items():
+        if value < 1:
+            raise ConfigError(f"train.{key}: must be >= 1, got {value}")
+    for key in ("learning_rate", "sigma_w2", "sigma_b2"):
+        if not getattr(spec, key) >= 0:
+            raise ConfigError(f"train.{key}: must be nonnegative")
     return spec
 
 
@@ -284,6 +292,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _reject_unknown(raw, "")
     if cfg.draws < 2:
         raise ConfigError("draws: must be >= 2")
+    if cfg.functions < 0:
+        raise ConfigError("functions: must be >= 0")
     if cfg.kind == "abc":
         _check_observations(cfg)
     return cfg
@@ -656,19 +666,15 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
                  n_draws: int, eoc_sigma_b2: float = 0.05,
                  select: dict | None = None,
                  z_grid: np.ndarray | None = None) -> np.ndarray:
-    """First-coordinate outputs x_{T,1}(z) for scalar inputs z = W_I z.
+    """First-coordinate outputs x_{T,1}(z), z = W_I z, at ``z_values`` for
+    every draw, or at ``z_grid`` for the draws ``select`` keeps (chunk
+    index -> within-chunk draw indexes).
 
-    Without ``select``: every draw's outputs at the observation inputs
-    ``z_values``, each layer drawn as Z R + b (see resnet._layer_increment)
-    with psi(X)^T = Q R and Z a D x min(N, D) normal.
-
-    ``select`` maps chunk index -> within-chunk draw indexes to keep; the
-    result holds those draws' outputs at ``z_grid``. Their observation
-    trajectories are replayed bit for bit, and each layer's weights are
-    completed as W = Z Q^T + E (I - Q Q^T), E a D x D normal from a
-    per-draw stream. For i.i.d. Gaussian W, W Q and W (I - Q Q^T) are
-    independent, so W keeps its law given the observation outputs. The
-    diffusion arm freezes at ``HARD_CAP``, the eoc arm on non-finite rows.
+    Kept draws replay their rows at ``z_values`` bit for bit; their
+    weights are completed for the grid rows as W = Z Q^T + E (I - Q Q^T),
+    with psi(X)^T = Q R at ``z_values`` and E a per-draw D x D normal. For
+    i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
+    its law given the outputs at ``z_values``.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
@@ -684,55 +690,56 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
                       sigma_b=float(np.sqrt(sigma_b2)), dim=D)
     sw = law.sigma_w / np.sqrt(D)
     complement = seed.with_stream(experiment=seed.experiment + "/complement")
-
-    def step(x, h, div):
-        # h is a temporary, so the residual sum may reuse it in place
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_new = phi(h)
-            if spec.kind == "diffusion":
-                x_new += x
-        return _freeze_diverged(x_new, x, div, cap=cap)
-
     z = np.asarray(z_values, dtype=float)
-    pieces = []
-    for start in range(0, n_draws, DRAW_CHUNK):
-        chunk = min(DRAW_CHUNK, n_draws - start)
-        rep = start // DRAW_CHUNK
-        if select is None:
-            sel = slice(None)
-        elif rep in select:
-            sel = np.asarray(select[rep], dtype=int)
-        else:
-            continue
+    n_obs = z.size
+    picks = {rep: slice(None) for rep in range(-(-n_draws // DRAW_CHUNK))}
+    if select is not None:
+        picks = {rep: np.asarray(select[rep], dtype=int)
+                 for rep in sorted(select)}
+        z = np.concatenate([z, z_grid])
+    W_I = {}
+    for rep, sel in picks.items():
         rng_in = make_rng(seed.with_stream(
             experiment=seed.experiment + "/input", replicate=rep))
-        W_I = rng_in.standard_normal((chunk, D))[sel]
-        x = z[None, :, None] * W_I[:, None, :]
-        div = np.zeros(x.shape[:2], dtype=bool)
+        chunk = min(DRAW_CHUNK, n_draws - rep * DRAW_CHUNK)
+        W_I[rep] = rng_in.standard_normal((chunk, D))[sel]
+    layer_noise = _stream_draw(seed, law, "projected", n_obs, n_draws)
+
+    def draw(c, l):
+        epsW, epsb = layer_noise(c, l)
+        sel, E = picks[c], None
         if select is not None:
-            g = z_grid[None, :, None] * W_I[:, None, :]
-            gdiv = np.zeros(g.shape[:2], dtype=bool)
-        for l in range(L):
-            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            if select is None:
-                R = _batched_psd_factor(psi(x))
-            else:
-                # the same R, bit for bit, as the "r" mode of pass 1
-                Q, R = np.linalg.qr(np.swapaxes(psi(x), -1, -2))
-            epsW, epsb = sample_eps(law, rng, chunk, cols=R.shape[-2])
-            sW, sb = scale_eps(law, epsW[sel], epsb[sel])
-            if select is not None:
-                E = sw * np.stack([make_rng(complement.with_stream(
-                    replicate=start + int(d), layer=l)).standard_normal((D, D))
-                    for d in sel])
-                W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
-                hg = psi(g) @ np.swapaxes(W, -1, -2)
-                hg += sb[:, None, :]
-                g, gdiv = step(g, hg, gdiv)
-            h = np.swapaxes(sW @ R, -1, -2) + sb[:, None, :]
-            x, div = step(x, h, div)
-        pieces.append((x if select is None else g)[:, :, 0])
-    return np.concatenate(pieces, axis=0)
+            E = sw * np.stack([make_rng(complement.with_stream(
+                replicate=c * DRAW_CHUNK + int(d), layer=l)).standard_normal(
+                    (D, D)) for d in sel])
+        return (*scale_eps(law, epsW[sel], epsb[sel]), E)
+
+    def step(x, eps, l):
+        sW, sb, E = eps
+        px = psi(x)
+        h = np.empty_like(x)
+        obs = np.swapaxes(px[:, :n_obs], -1, -2)
+        if E is None:
+            R = np.linalg.qr(obs, mode="r")
+        else:
+            # the same R, bit for bit, as the "r" mode of pass 1
+            Q, R = np.linalg.qr(obs)
+            W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
+            np.matmul(px[:, n_obs:], np.swapaxes(W, -1, -2),
+                      out=h[:, n_obs:])
+            h[:, n_obs:] += sb[:, None, :]
+        np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], out=h[:, :n_obs])
+        # h is a temporary, so the residual sum may reuse it in place
+        y = phi(h)
+        if spec.kind == "diffusion":
+            y += x
+        return y
+
+    x0 = z[None, :, None] * np.concatenate(list(W_I.values()))[:, None, :]
+    batch = _propagate(x0, n_draws, L, 1.0, step, draw, cap=cap,
+                       rows={rep: w.shape[0] for rep, w in W_I.items()},
+                       coords=[0])
+    return batch.xT[:, 0 if select is None else n_obs:, 0]
 
 
 def _abc_arm(cfg: ExperimentConfig, spec: ModelSpec, arm: str) -> dict:

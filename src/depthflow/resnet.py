@@ -1,11 +1,13 @@
 """Discrete-depth forward propagation.
 
 Implements the identity-ResNet recursion with depth-scaled random
-parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, and the
-SDE sampler in :mod:`depthflow.sde`, run on one propagation kernel
-(:func:`_propagate`), chunked over draws with one noise stream per
-(chunk, layer), so results are reproducible and independent of how work is
-scheduled. A layer's noise is drawn independently of the state it drives,
+parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, the
+SDE sampler in :mod:`depthflow.sde` and the two ABC passes run on one
+propagation kernel (:func:`_propagate`), chunked over draws. Each caller
+passes its step and its noise, read from streams keyed by (chunk, layer),
+so results are reproducible and independent of how work is scheduled; it
+also picks the draws that run, their initial states and the coordinates
+stored. A layer's noise is drawn independently of the state it drives,
 so the kernel draws the next (chunk, layer)'s noise on a worker thread
 while the current layer computes; the outputs are those of the serial
 loop, bit for bit.
@@ -38,7 +40,8 @@ class PathBatch:
     """Monte Carlo trajectories for N inputs over a shared time grid.
 
     ``states`` has shape (n_draws, n_inputs, n_stored, D) where the stored
-    time points are ``times``. ``diverged`` flags (draw, input) pairs whose
+    time points are ``times`` (fewer than D coordinates if the kernel was
+    asked to store fewer). ``diverged`` flags (draw, input) pairs whose
     trajectory hit a non-finite value or the explosion cap; their states
     are frozen at the last finite value.
     """
@@ -179,27 +182,47 @@ def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
             and 2 * n_inputs <= width else "materialized")
 
 
-def _propagate(x0: np.ndarray, n_draws: int, seed: SeedSpec, depth: int,
-               dt: float, step, law, mode: str, cap: float | None = None,
-               store_stride: int | None = None) -> PathBatch:
-    """Run ``depth`` steps of ``step`` on N inputs for ``n_draws`` draws.
+def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int,
+                 n_draws: int):
+    """The residual, SDE and feedforward samplers' ``draw(c, l)``: chunk c's
+    layer-l noise pair for all its draws, drawn by
+    :func:`depthflow.laws.sample_eps` for ``law`` (projected when ``mode``
+    says so) from the stream ``seed.with_stream(replicate=c, layer=l)``."""
+    cols = min(n_inputs, law.dim) if mode == "projected" else None
 
-    ``x0`` is the (N, D) initial state shared by every draw. Draws run in
-    chunks of ``DRAW_CHUNK``; layer ``l`` of chunk ``c`` reads its noise
-    from the stream ``seed.with_stream(replicate=c, layer=l)``, drawn by
-    :func:`depthflow.laws.sample_eps` for ``law`` (the projected shape when
-    ``mode`` is ``"projected"``), so the trajectories of a whole chunk do
-    not depend on how many draws run. ``step(x, eps, l)`` maps the
-    (chunk, N, D) states to the next ones given that noise pair, with
-    overflow and invalid-value warnings off; rows that go non-finite or
-    whose norm passes ``cap`` are flagged and frozen
-    (:func:`_freeze_diverged`). States are stored at step 0, every
-    ``store_stride`` steps and the last step, at times ``step * dt``.
+    def draw(c, l):
+        rng = make_rng(seed.with_stream(replicate=c, layer=l))
+        return sample_eps(law, rng, min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK),
+                          cols)
 
-    The noise of a layer does not depend on the states it drives, so one
-    worker thread draws the next (chunk, layer)'s noise while this one
-    computes. Each stream is drawn by the same call as in a serial loop,
-    so the output does not change; the worker is gone on return.
+    return draw
+
+
+def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
+               draw, cap: float | None = None,
+               store_stride: int | None = None, rows: dict | None = None,
+               coords: list | None = None) -> PathBatch:
+    """Run ``depth`` steps of ``step`` on N inputs, in chunks of
+    ``DRAW_CHUNK`` draws.
+
+    ``draw(c, l)`` returns chunk ``c``'s noise for layer ``l``, for the
+    draws of the chunk that run. ``step(x, eps, l)`` maps their (rows, N,
+    D) states to the next ones given that noise, with overflow and
+    invalid-value warnings off. Rows that go non-finite or whose norm
+    passes ``cap`` are flagged and frozen (:func:`_freeze_diverged`).
+
+    ``rows`` maps a chunk to how many of its draws run, in the order the
+    chunks run; by default all ``n_draws`` run, chunk by chunk. ``x0`` is the
+    (N, D) initial state of every draw, or one (N, D) state per draw that
+    runs, in that order. States are stored at step 0, every
+    ``store_stride`` steps and the last step, at times ``step * dt``: the
+    coordinates ``coords``, or all of them.
+
+    The noise of a layer does not depend on the states it drives: ``draw``
+    sees only (c, l). So one worker thread draws the next (chunk, layer)'s
+    noise while this one computes. It makes the calls a serial loop makes,
+    in the same order, so the output does not change. The worker is gone
+    on return, and an exception raised in ``draw`` comes out of this call.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
@@ -207,41 +230,43 @@ def _propagate(x0: np.ndarray, n_draws: int, seed: SeedSpec, depth: int,
     # instead of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    N, D = x0.shape
-    cols = min(N, D) if mode == "projected" else None
+    N, D = x0.shape[-2:]
+    if rows is None:
+        rows = {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
+                for c in range(-(-n_draws // DRAW_CHUNK))}
+    pairs = [(c, l) for c in rows for l in range(depth)]
+    store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    states = np.empty((n_draws, N, keep.size, D))
-    diverged = np.zeros((n_draws, N), dtype=bool)
+    states = np.empty((sum(rows.values()), N, keep.size,
+                       D if coords is None else len(coords)))
+    diverged = np.zeros(states.shape[:2], dtype=bool)
 
-    def draw(start, l):
-        rng = make_rng(seed.with_stream(replicate=start // DRAW_CHUNK,
-                                        layer=l))
-        # warning state is per thread; the draw keeps the step's
-        with np.errstate(over="ignore", invalid="ignore"):
-            return sample_eps(law, rng, min(DRAW_CHUNK, n_draws - start),
-                              cols)
+    # warning state is per thread; the draw keeps the step's
+    noise = np.errstate(over="ignore", invalid="ignore")(draw)
 
     with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(draw, 0, 0)
-        for start in range(0, n_draws, DRAW_CHUNK):
-            stop = min(start + DRAW_CHUNK, n_draws)
-            x = np.broadcast_to(x0, (stop - start, N, D)).copy()
-            div = np.zeros((stop - start, N), dtype=bool)
-            states[start:stop, :, 0, :] = x
+        ahead = pool.submit(noise, *pairs[0]) if pairs else None
+        start, k = 0, 0
+        for c, n in rows.items():
+            stop = start + n
+            first = x0[start:stop] if x0.ndim == 3 else x0
+            x = np.broadcast_to(first, (n, N, D)).copy()
+            div = np.zeros((n, N), dtype=bool)
+            states[start:stop, :, 0, :] = x[..., store]
             kpos = 1
             for l in range(depth):
                 eps = ahead.result()
-                following = ((start, l + 1) if l + 1 < depth
-                             else (start + DRAW_CHUNK, 0))
-                if following[0] < n_draws:
-                    ahead = pool.submit(draw, *following)
+                k += 1
+                if k < len(pairs):
+                    ahead = pool.submit(noise, *pairs[k])
                 with np.errstate(over="ignore", invalid="ignore"):
                     x_new = step(x, eps, l)
                 x, div = _freeze_diverged(x_new, x, div, cap=cap)
                 if kpos < keep.size and keep[kpos] == l + 1:
-                    states[start:stop, :, kpos, :] = x
+                    states[start:stop, :, kpos, :] = x[..., store]
                     kpos += 1
             diverged[start:stop] = div
+            start = stop
 
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
@@ -274,8 +299,9 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
         y += x
         return y
 
-    return _propagate(x0_batch, n_draws, seed, config.depth, dt, step, law,
-                      mode, cap=HARD_CAP, store_stride=store_stride)
+    return _propagate(x0_batch, n_draws, config.depth, dt, step,
+                      _stream_draw(seed, law, mode, N, n_draws),
+                      cap=HARD_CAP, store_stride=store_stride)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
@@ -306,8 +332,8 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     def step(h, eps, l):
         return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
 
-    return _propagate(x0_batch, n_draws, seed, cfg.depth, 1.0, step, law,
-                      mode)
+    return _propagate(x0_batch, n_draws, cfg.depth, 1.0, step,
+                      _stream_draw(seed, law, mode, N, n_draws))
 
 
 @lru_cache(maxsize=1)

@@ -27,7 +27,8 @@ from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
 # _freeze_diverged and _batched_psd_factor are unused here;
 # perfbench/test_selftest.py looks both up here
 from .resnet import HARD_CAP, PathBatch, _batched_psd_factor, \
-    _freeze_diverged, _layer_increment, _propagate, choose_sampler  # noqa: F401
+    _freeze_diverged, _layer_increment, _propagate, _stream_draw, \
+    choose_sampler  # noqa: F401
 
 __all__ = [
     "SdeCoefficients", "drift_eval", "diffusion_eval", "euler_step_decoupled",
@@ -182,7 +183,8 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
         h += x + _batched_drift(coeffs, px) * dt
         return h
 
-    return _propagate(x0_batch, n_draws, seed, L, dt, step, law, mode,
+    return _propagate(x0_batch, n_draws, L, dt, step,
+                      _stream_draw(seed, law, mode, N, n_draws),
                       cap=HARD_CAP, store_stride=store_stride)
 
 

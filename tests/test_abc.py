@@ -2,6 +2,7 @@
 completion for the kept draws, checked against the materialized loop."""
 
 import csv
+import threading
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from depthflow.activations import get_activation
 from depthflow.config import SeedSpec, make_rng
 from depthflow.experiments import (ModelSpec, _abc_outputs, parse_config,
                                    run_experiment)
-from depthflow.resnet import DRAW_CHUNK, HARD_CAP, eoc_solve
+from depthflow.laws import FullyIidLaw, sample_eps, scale_eps
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, _batched_psd_factor,
+                              _freeze_diverged, eoc_solve)
 from depthflow.stats import ks_two_sample
 
 GRID = np.linspace(-2.0, 2.0, 9)
@@ -47,6 +50,73 @@ def materialized_abc_outputs(spec, z_values, seed, n_draws,
             with np.errstate(over="ignore", invalid="ignore"):
                 x = x + phi(h) if spec.kind == "diffusion" else phi(h)
         pieces.append(x[:, :, 0])
+    return np.concatenate(pieces, axis=0)
+
+
+def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
+                       select=None, z_grid=None):
+    """Bitwise oracle: both ABC passes as a plain chunk x layer loop, with
+    the streams, factor, completion and guard of the kernel's version."""
+    D, L = spec.width, spec.depth
+    phi = get_activation(spec.activation)
+    psi = get_activation(spec.inner)
+    if spec.kind == "eoc":
+        sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
+        cap = None
+    else:
+        dt = spec.horizon / L
+        sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
+        cap = HARD_CAP
+    law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
+                      sigma_b=float(np.sqrt(sigma_b2)), dim=D)
+    sw = law.sigma_w / np.sqrt(D)
+    complement = seed.with_stream(experiment=seed.experiment + "/complement")
+
+    def step(x, h, div):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x_new = phi(h)
+            if spec.kind == "diffusion":
+                x_new += x
+        return _freeze_diverged(x_new, x, div, cap=cap)
+
+    z = np.asarray(z_values, dtype=float)
+    pieces = []
+    for start in range(0, n_draws, DRAW_CHUNK):
+        chunk = min(DRAW_CHUNK, n_draws - start)
+        rep = start // DRAW_CHUNK
+        if select is None:
+            sel = slice(None)
+        elif rep in select:
+            sel = np.asarray(select[rep], dtype=int)
+        else:
+            continue
+        rng_in = make_rng(seed.with_stream(
+            experiment=seed.experiment + "/input", replicate=rep))
+        W_I = rng_in.standard_normal((chunk, D))[sel]
+        x = z[None, :, None] * W_I[:, None, :]
+        div = np.zeros(x.shape[:2], dtype=bool)
+        if select is not None:
+            g = z_grid[None, :, None] * W_I[:, None, :]
+            gdiv = np.zeros(g.shape[:2], dtype=bool)
+        for l in range(L):
+            rng = make_rng(seed.with_stream(replicate=rep, layer=l))
+            if select is None:
+                R = _batched_psd_factor(psi(x))
+            else:
+                Q, R = np.linalg.qr(np.swapaxes(psi(x), -1, -2))
+            epsW, epsb = sample_eps(law, rng, chunk, cols=R.shape[-2])
+            sW, sb = scale_eps(law, epsW[sel], epsb[sel])
+            if select is not None:
+                E = sw * np.stack([make_rng(complement.with_stream(
+                    replicate=start + int(d), layer=l)).standard_normal((D, D))
+                    for d in sel])
+                W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
+                hg = psi(g) @ np.swapaxes(W, -1, -2)
+                hg += sb[:, None, :]
+                g, gdiv = step(g, hg, gdiv)
+            h = np.swapaxes(sW @ R, -1, -2) + sb[:, None, :]
+            x, div = step(x, h, div)
+        pieces.append((x if select is None else g)[:, :, 0])
     return np.concatenate(pieces, axis=0)
 
 
@@ -153,3 +223,79 @@ def test_diffusion_arm_freezes_at_the_cap():
                         z_grid=np.array([-2.0, 2.0]))
     for out in (first, grid):
         assert (np.abs(out) <= HARD_CAP).all()
+
+
+# the cap case of test_diffusion_arm_freezes_at_the_cap
+SWISH_CAP = ModelSpec(kind="diffusion", activation="swish", sigma_w2=16.0,
+                      sigma_b2=16.0, depth=16, width=8, horizon=8.0)
+
+
+@pytest.mark.parametrize("spec, z_obs, capped", [
+    *(pytest.param(abc_spec(arm, width=width), z_obs, False,
+                   id=f"{arm}-{'_'.join(map(str, z_obs))}-D{width}")
+      for arm, z_obs, width in LAW_CASES),
+    pytest.param(SWISH_CAP, (2.0,), True, id="swish-cap")])
+def test_kernel_matches_serial_loop(monkeypatch, spec, z_obs, capped):
+    # 600 prior draws: two whole chunks and a partial one, kept draws in
+    # each; in the swish case some draws pass the cap in both passes
+    z, seed = np.array(z_obs), SeedSpec(41, "abc")
+    select = select_all(600) if capped else {0: [0, 7, 255], 1: [1, 100],
+                                             2: [3, 87]}
+    flagged = []
+
+    def spy(x_new, x_old, diverged, cap=None):
+        out = _freeze_diverged(x_new, x_old, diverged, cap=cap)
+        flagged.append(bool(out[1].any()))
+        return out
+
+    monkeypatch.setattr("depthflow.resnet._freeze_diverged", spy)
+    first = _abc_outputs(spec, z, seed, 600)
+    assert np.array_equal(first, serial_abc_outputs(spec, z, seed, 600))
+    assert any(flagged) == capped
+    flagged.clear()
+    grid = _abc_outputs(spec, z, seed, 600, select=select, z_grid=GRID)
+    assert grid.shape == (sum(map(len, select.values())), GRID.size)
+    assert np.array_equal(grid, serial_abc_outputs(spec, z, seed, 600,
+                                                   select=select,
+                                                   z_grid=GRID))
+    assert any(flagged) == capped
+
+
+def small_abc_config(out):
+    return parse_config({
+        "experiment": "abc", "seed": 9, "out": str(out),
+        "model": {"sigma_w2": 10.0, "sigma_b2": 10.0, "depth": 8,
+                  "width": 8},
+        "inputs": {"grid": {"start": -2.0, "stop": 2.0, "points": 21}},
+        "functions": 3,
+        "abc": {"observations": [[-1.0, 0.5], [1.0, 0.8]],
+                "prior_draws": 300, "keep": 4},
+    })
+
+
+def test_repeated_run_writes_identical_files(tmp_path):
+    snapshots = []
+    for tag in ("a", "b"):
+        run_experiment(small_abc_config(tmp_path / tag))
+        snapshots.append({p.name: p.read_bytes()
+                          for p in sorted((tmp_path / tag).iterdir())})
+    assert len(snapshots[0]) == 7
+    assert snapshots[0] == snapshots[1]
+
+
+def test_completion_draw_failure_raised_and_worker_stopped(tmp_path,
+                                                           monkeypatch):
+    # the per-draw complement E is drawn on the kernel's worker thread
+    before = threading.active_count()
+    error = RuntimeError("complement draw failed at layer 2")
+
+    def failing_rng(seed):
+        if seed.experiment.endswith("/complement") and seed.layer == 2:
+            raise error
+        return make_rng(seed)
+
+    monkeypatch.setattr("depthflow.experiments.make_rng", failing_rng)
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(small_abc_config(tmp_path))
+    assert info.value is error
+    assert threading.active_count() == before

@@ -203,6 +203,11 @@ CONFIGS = st.builds(
 @example(raw={"experiment": "sanity_check", "model": {"sigma_w2": INF}})
 @example(raw={"experiment": "sanity_check", "model": {"sigma_b2": INF}})
 @example(raw={"experiment": "sanity_check", "model": {"horizon": INF}})
+@example(raw={"experiment": "sgd", "train": {"depths": [0]}})
+@example(raw={"experiment": "sgd", "train": {"widths": [-3]}})
+@example(raw={"experiment": "sgd", "train": {"batch_size": 0}})
+@example(raw={"experiment": "sgd", "train": {"learning_rate": -1.0}})
+@example(raw={"experiment": "function_space", "functions": -5})
 @given(raw=CONFIGS)
 def test_parse_config_yields_config_or_config_error(raw):
     try:
@@ -211,6 +216,10 @@ def test_parse_config_yields_config_or_config_error(raw):
         return
     assert isinstance(cfg, ExperimentConfig)
     assert all(map(math.isfinite, _floats(dataclasses.astuple(cfg))))
+    sgd = cfg.sgd
+    assert min(sgd.depths + sgd.widths + (sgd.batch_size, sgd.epochs)) >= 1
+    assert min(sgd.learning_rate, sgd.sigma_w2, sgd.sigma_b2) >= 0
+    assert cfg.functions >= 0
 
 
 def _floats(value):
@@ -385,6 +394,8 @@ class TestCliEntry:
                      id="keep-negative"),
         pytest.param({}, {"eoc_sigma_b2": -0.1}, "abc.eoc_sigma_b2",
                      id="eoc-sigma-negative"),
+        pytest.param({"functions": -5}, {}, "functions",
+                     id="functions-negative"),
     ] + [pytest.param(case.values[0], {}, case.values[1],
                       id=f"non-finite-{case.id}") for case in NON_FINITE])
     def test_bad_values_leave_no_directory(self, tmp_path, capsys, top, abc,
@@ -398,6 +409,19 @@ class TestCliEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert where in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("depths", [8, 0]), ("widths", [-3]), ("batch_size", 0),
+        ("epochs", 0), ("learning_rate", -1.0), ("sigma_w2", -0.5)])
+    def test_bad_train_values_leave_no_directory(self, tmp_path, capsys,
+                                                 key, value):
+        raw = tiny_overrides("sgd", tmp_path / "o", train={key: value})
+        code = main(["sgd", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"train.{key}" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_off_grid_observation_leaves_no_directory(self, tmp_path,

@@ -14,7 +14,8 @@ from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
 from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, PathBatch,
                               _batched_psd_factor, _freeze_diverged,
-                              _store_plan, choose_sampler)
+                              _layer_increment, _propagate, _store_plan,
+                              _stream_draw, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -400,31 +401,33 @@ class TestPropagationKernel:
             assert np.array_equal(deep.xT[d, i], want)
 
 
-def serial_propagate(x0, n_draws, seed, depth, dt, step, law, mode, cap=None,
-                     store_stride=None):
+def serial_propagate(x0, n_draws, depth, dt, step, draw, cap=None,
+                     store_stride=None, rows=None, coords=None):
     """The propagation kernel as a plain loop: for each (chunk, layer),
-    build the stream's generator, draw its noise, then take the step."""
-    N, D = x0.shape
-    cols = min(N, D) if mode == "projected" else None
+    draw its noise, then take the step."""
+    N, D = x0.shape[-2:]
+    if rows is None:
+        rows = {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
+                for c in range(-(-n_draws // DRAW_CHUNK))}
+    store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    states = np.empty((n_draws, N, keep.size, D))
-    diverged = np.zeros((n_draws, N), dtype=bool)
-    for start in range(0, n_draws, DRAW_CHUNK):
-        n = min(DRAW_CHUNK, n_draws - start)
-        x = np.broadcast_to(x0, (n, N, D)).copy()
+    states, diverged, start = [], [], 0
+    for c, n in rows.items():
+        first = x0[start:start + n] if x0.ndim == 3 else x0
+        x = np.broadcast_to(first, (n, N, D)).copy()
         div = np.zeros((n, N), dtype=bool)
         trail = [x]
         for l in range(depth):
-            rng = make_rng(seed.with_stream(replicate=start // DRAW_CHUNK,
-                                            layer=l))
-            eps = sample_eps(law, rng, n, cols)
+            eps = draw(c, l)
             with np.errstate(over="ignore", invalid="ignore"):
                 x_new = step(x, eps, l)
             x, div = _freeze_diverged(x_new, x, div, cap=cap)
             trail.append(x)
-        states[start:start + n] = np.stack(trail, axis=2)[:, :, keep]
-        diverged[start:start + n] = div
-    return PathBatch(times=keep * dt, states=states, diverged=diverged)
+        states.append(np.stack(trail, axis=2)[:, :, keep][..., store])
+        diverged.append(div)
+        start += n
+    return PathBatch(times=keep * dt, states=np.concatenate(states),
+                     diverged=np.concatenate(diverged))
 
 
 class TestNoiseLookahead:
@@ -478,6 +481,33 @@ class TestNoiseLookahead:
         assert np.array_equal(got.states, want.states)
         assert np.array_equal(got.diverged, want.diverged)
         assert np.array_equal(got.times, want.times)
+
+    def test_rows_inputs_and_coords_match_serial_loop(self):
+        # some draws of two chunks run, chunk 2 first, each from its own
+        # initial state, and two of the D coordinates are stored
+        D, depth = 6, 5
+        rows = {2: 30, 0: 7}
+        x0 = np.random.default_rng(3).standard_normal((37, 3, D)) * 4.0
+        law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
+        full = _stream_draw(SeedSpec(71, "ahead/rows"), law, "projected", 3,
+                            600)
+
+        def draw(c, l):
+            epsW, epsb = full(c, l)
+            return epsW[:rows[c]], epsb[:rows[c]]
+
+        def step(x, eps, l):
+            return x + SWISH(_layer_increment(law, eps, x, "projected", 1.0))
+
+        args = (x0, 600, depth, 1.0, step, draw, HARD_CAP, 2, rows, [0, 4])
+        got, want = _propagate(*args), serial_propagate(*args)
+        assert got.states.shape == (37, 3, 4, 2)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+        # chunk 2's draws come first, and start where x0 says
+        assert np.array_equal(got.x0, x0[..., [0, 4]])
 
     def test_draw_failure_raised_and_worker_stopped(self, monkeypatch):
         model = iid_model(4, 8)
