@@ -221,6 +221,10 @@ def _parse_sgd(raw: dict) -> SgdSpec:
     dataset = {key: _typed(given, "train.dataset", key, kind, None)
                for key, kind in DATASET_KEYS.items() if key in given}
     _reject_unknown(given, "train.dataset")
+    for key in ("n", "features", "classes", "test_n"):
+        if dataset.get(key, 1) < 1:
+            raise ConfigError(f"train.dataset.{key}: must be >= 1, "
+                              f"got {dataset[key]}")
     spec = SgdSpec(
         modes=_typed_list(raw, "train", "modes", str,
                           ["reparametrized", "standard"]),
@@ -492,9 +496,10 @@ def _first_coordinate(cfg: ExperimentConfig, seed: SeedSpec):
     x0 = embed_inputs(cfg.inputs, cfg.model.width)
     if cfg.model.kind == "eoc":
         batch = feedforward_forward(build_feedforward(cfg.model), x0,
-                                    cfg.draws, seed)
+                                    cfg.draws, seed, coords=[0])
     else:
-        batch = resnet_forward(build_model(cfg.model), x0, cfg.draws, seed)
+        batch = resnet_forward(build_model(cfg.model), x0, cfg.draws, seed,
+                               coords=[0])
     return batch.xT[:, :, 0], batch.diverged
 
 

@@ -9,12 +9,16 @@ so results are reproducible and independent of how work is scheduled; it
 also picks the draws that run, their initial states and the coordinates
 stored. A layer's noise is drawn independently of the state it drives,
 so the kernel draws the next (chunk, layer)'s noise on a worker thread
-while the current layer computes; the outputs are those of the serial
-loop, bit for bit.
+while the current layer computes. A chunk whose state holds more numbers
+than its layer noise is compute-bound, and a large one has its rows
+stepped in blocks, one per available CPU, at once; every operation of a
+step acts on each draw alone, so the split is exact. The outputs are those of the
+serial loop, bit for bit.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,6 +37,12 @@ DRAW_CHUNK = 256
 # Norm above which a trajectory counts as exploded and is frozen, in both
 # the residual and the SDE sampler.
 HARD_CAP = 1e6
+
+# Fewest state numbers (rows x N x D) in a row block of its own. On 2
+# vCPUs, splitting broke even at 1e5 to 2e5 numbers per block (N = 400
+# at D = 64, N = 404 at D = 32): the hand-off to a thread and back, and
+# the contention with the draw thread, cost what the split saved.
+ROW_BLOCK_MIN = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -198,6 +208,13 @@ def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int,
     return draw
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
                draw, cap: float | None = None,
                store_stride: int | None = None, rows: dict | None = None,
@@ -205,11 +222,12 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     """Run ``depth`` steps of ``step`` on N inputs, in chunks of
     ``DRAW_CHUNK`` draws.
 
-    ``draw(c, l)`` returns chunk ``c``'s noise for layer ``l``, for the
-    draws of the chunk that run. ``step(x, eps, l)`` maps their (rows, N,
-    D) states to the next ones given that noise, with overflow and
-    invalid-value warnings off. Rows that go non-finite or whose norm
-    passes ``cap`` are flagged and frozen (:func:`_freeze_diverged`).
+    ``draw(c, l)`` returns chunk ``c``'s noise for layer ``l``: a tuple of
+    arrays (or None) whose first axis runs over the draws of the chunk
+    that run. ``step(x, eps, l)`` maps their (rows, N, D) states to the
+    next ones given that noise, with overflow and invalid-value warnings
+    off. Rows that go non-finite or whose norm passes ``cap`` are flagged
+    and frozen (:func:`_freeze_diverged`).
 
     ``rows`` maps a chunk to how many of its draws run, in the order the
     chunks run; by default all ``n_draws`` run, chunk by chunk. ``x0`` is the
@@ -221,8 +239,14 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     The noise of a layer does not depend on the states it drives: ``draw``
     sees only (c, l). So one worker thread draws the next (chunk, layer)'s
     noise while this one computes. It makes the calls a serial loop makes,
-    in the same order, so the output does not change. The worker is gone
-    on return, and an exception raised in ``draw`` comes out of this call.
+    in the same order. A chunk whose state holds more numbers than its
+    layer-0 noise is compute-bound: its rows are split into one block per
+    available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. Each
+    block keeps its own state for the whole chunk, and each layer steps
+    the blocks at once, one on this thread and the others on a pool. Every operation of a step and of the guard acts on each
+    draw alone, so neither changes the output: it is the serial loop's,
+    bit for bit. The workers are gone on return, and an exception raised
+    in ``draw`` or in a block's step comes out of this call.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
@@ -240,40 +264,61 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     states = np.empty((sum(rows.values()), N, keep.size,
                        D if coords is None else len(coords)))
     diverged = np.zeros(states.shape[:2], dtype=bool)
+    cpus = _available_cpus()
 
-    # warning state is per thread; the draw keeps the step's
-    noise = np.errstate(over="ignore", invalid="ignore")(draw)
+    # warning state is per thread; the draw and the blocks keep the step's
+    quiet = np.errstate(over="ignore", invalid="ignore")
+    noise = quiet(draw)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(noise, *pairs[0]) if pairs else None
+    @quiet
+    def advance(x, div, eps, l):
+        return _freeze_diverged(step(x, eps, l), x, div, cap=cap)
+
+    # one thread makes every draw, in order; the blocks have their own pool
+    with ThreadPoolExecutor(1) as drawer, \
+            ThreadPoolExecutor(max(1, cpus - 1)) as pool:
+        ahead = drawer.submit(noise, *pairs[0]) if pairs else None
         start, k = 0, 0
         for c, n in rows.items():
-            stop = start + n
-            first = x0[start:stop] if x0.ndim == 3 else x0
-            x = np.broadcast_to(first, (n, N, D)).copy()
-            div = np.zeros((n, N), dtype=bool)
-            states[start:stop, :, 0, :] = x[..., store]
+            first = x0[start:start + n] if x0.ndim == 3 else x0
+            x = np.broadcast_to(first, (n, N, D))
+            states[start:start + n, :, 0] = x[..., store]
+            eps = ahead.result() if depth else ()
+            noise_size = sum(e.size for e in eps if e is not None)
+            P = max(1, min(cpus, n, x.size // ROW_BLOCK_MIN)) \
+                if x.size > noise_size else 1
+            cuts = [n * i // P for i in range(P + 1)]
+            blocks = list(zip(cuts, cuts[1:]))
+            xs = [x[a:b].copy() for a, b in blocks]
+            divs = [np.zeros((b - a, N), dtype=bool) for a, b in blocks]
             kpos = 1
             for l in range(depth):
                 eps = ahead.result()
                 k += 1
                 if k < len(pairs):
-                    ahead = pool.submit(noise, *pairs[k])
-                with np.errstate(over="ignore", invalid="ignore"):
-                    x_new = step(x, eps, l)
-                x, div = _freeze_diverged(x_new, x, div, cap=cap)
+                    ahead = drawer.submit(noise, *pairs[k])
+                parts = [tuple(e if e is None else e[a:b] for e in eps)
+                         for a, b in blocks]
+                running = [pool.submit(advance, xs[i], divs[i], parts[i], l)
+                           for i in range(1, P)]
+                xs[0], divs[0] = advance(xs[0], divs[0], parts[0], l)
+                for i, future in enumerate(running, 1):
+                    xs[i], divs[i] = future.result()
                 if kpos < keep.size and keep[kpos] == l + 1:
-                    states[start:stop, :, kpos, :] = x[..., store]
+                    for (a, b), xb in zip(blocks, xs):
+                        states[start + a:start + b, :, kpos] = xb[..., store]
                     kpos += 1
-            diverged[start:stop] = div
-            start = stop
+            for (a, b), div in zip(blocks, divs):
+                diverged[start + a:start + b] = div
+            start += n
 
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
 
 def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    seed: SeedSpec, store_stride: int | None = None,
-                   noise: str = "auto") -> PathBatch:
+                   noise: str = "auto",
+                   coords: list | None = None) -> PathBatch:
     """Propagate N inputs jointly through the residual recursion.
 
     Each layer maps x to x + phi(h), h the layer increment of
@@ -285,6 +330,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
     otherwise; ``noise="materialized"`` forces the latter. Both give the
     same trajectory law from different random streams. Draws that go
     non-finite or whose norm passes ``HARD_CAP`` are flagged and frozen.
+    Only the coordinates ``coords`` are stored, or all of them.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape
@@ -301,12 +347,12 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
 
     return _propagate(x0_batch, n_draws, config.depth, dt, step,
                       _stream_draw(seed, law, mode, N, n_draws),
-                      cap=HARD_CAP, store_stride=store_stride)
+                      cap=HARD_CAP, store_stride=store_stride, coords=coords)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
-                        n_draws: int, seed: SeedSpec,
-                        noise: str = "auto") -> PathBatch:
+                        n_draws: int, seed: SeedSpec, noise: str = "auto",
+                        coords: list | None = None) -> PathBatch:
     """Propagate inputs through the i.i.d. feedforward baseline.
 
     Recursion h_{l+1} = A_l phi(h_l) + a_l from h_0 = x_0 (the first layer
@@ -316,9 +362,9 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     stored final state is the last layer's pre-activation (the quantity
     whose depth-correlation structure the critical initialization
     preserves); only the input and that final layer are stored, at times
-    0 and depth. ``noise`` as in :func:`resnet_forward`. A draw is flagged
-    when its pre-activation goes non-finite, and then stores its last
-    finite one.
+    0 and depth. ``noise`` and ``coords`` as in :func:`resnet_forward`. A
+    draw is flagged when its pre-activation goes non-finite, and then
+    stores its last finite one.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape
@@ -333,7 +379,7 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
         return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
 
     return _propagate(x0_batch, n_draws, cfg.depth, 1.0, step,
-                      _stream_draw(seed, law, mode, N, n_draws))
+                      _stream_draw(seed, law, mode, N, n_draws), coords=coords)
 
 
 @lru_cache(maxsize=1)

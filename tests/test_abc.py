@@ -261,6 +261,27 @@ def test_kernel_matches_serial_loop(monkeypatch, spec, z_obs, capped):
     assert any(flagged) == capped
 
 
+def test_pass_two_row_blocks_match_serial_loop(monkeypatch):
+    # 3 CPUs and any block size: with 22 inputs of width 8 per kept draw
+    # against 8 x (1 + 1 + 8) noise numbers, each chunk of pass 2 is split
+    monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+    monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
+    threads = set()
+
+    def spy(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return _freeze_diverged(*args, **kwargs)
+
+    z, seed = np.array([2.0]), SeedSpec(41, "abc")
+    grid = np.linspace(-2.0, 2.0, 21)
+    monkeypatch.setattr("depthflow.resnet._freeze_diverged", spy)
+    got = _abc_outputs(SWISH_CAP, z, seed, 600, select=select_all(600),
+                       z_grid=grid)
+    assert len(threads) > 1
+    assert np.array_equal(got, serial_abc_outputs(
+        SWISH_CAP, z, seed, 600, select=select_all(600), z_grid=grid))
+
+
 def small_abc_config(out):
     return parse_config({
         "experiment": "abc", "seed": 9, "out": str(out),

@@ -208,6 +208,10 @@ CONFIGS = st.builds(
 @example(raw={"experiment": "sgd", "train": {"batch_size": 0}})
 @example(raw={"experiment": "sgd", "train": {"learning_rate": -1.0}})
 @example(raw={"experiment": "function_space", "functions": -5})
+@example(raw={"experiment": "sgd", "train": {"dataset": {
+    "kind": "toy_blobs", "n": -5, "classes": 0}}})
+@example(raw={"experiment": "sgd", "train": {"dataset": {"features": 0}}})
+@example(raw={"experiment": "sgd", "train": {"dataset": {"test_n": 0}}})
 @given(raw=CONFIGS)
 def test_parse_config_yields_config_or_config_error(raw):
     try:
@@ -220,6 +224,9 @@ def test_parse_config_yields_config_or_config_error(raw):
     assert min(sgd.depths + sgd.widths + (sgd.batch_size, sgd.epochs)) >= 1
     assert min(sgd.learning_rate, sgd.sigma_w2, sgd.sigma_b2) >= 0
     assert cfg.functions >= 0
+    sizes = dict(sgd.dataset)
+    assert all(sizes[key] >= 1 for key in ("n", "features", "classes",
+                                           "test_n") if key in sizes)
 
 
 def _floats(value):
@@ -422,6 +429,18 @@ class TestCliEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert f"train.{key}" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key", ["n", "features", "classes", "test_n"])
+    def test_bad_dataset_sizes_leave_no_directory(self, tmp_path, capsys,
+                                                  key):
+        raw = tiny_overrides("sgd", tmp_path / "o",
+                             train={"dataset": {"kind": "toy_blobs", key: 0}})
+        code = main(["sgd", "--config", str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        assert f"train.dataset.{key}" in err["message"]
         assert not (tmp_path / "o").exists()
 
     def test_off_grid_observation_leaves_no_directory(self, tmp_path,

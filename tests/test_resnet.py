@@ -1,3 +1,4 @@
+import sys
 import threading
 import warnings
 
@@ -12,8 +13,8 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
-from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, PathBatch,
-                              _batched_psd_factor, _freeze_diverged,
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_BLOCK_MIN,
+                              PathBatch, _batched_psd_factor, _freeze_diverged,
                               _layer_increment, _propagate, _store_plan,
                               _stream_draw, choose_sampler)
 
@@ -568,6 +569,127 @@ class TestNoiseLookahead:
             resnet_forward(iid_model(4, 8), np.ones((2, 8)), 300,
                            SeedSpec(61, "ahead/step"))
         assert threading.active_count() == before
+
+
+class TestRowBlocks:
+    """A compute-bound layer's rows are stepped in blocks, one per CPU;
+    the CPU count is 3 here and any block size will do, so the blocks run
+    on any host at small shapes."""
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
+
+    @pytest.fixture
+    def step_threads(self, monkeypatch):
+        """The threads that ran a layer increment, in each step."""
+        seen = set()
+
+        def spy(*args, **kwargs):
+            seen.add(threading.get_ident())
+            return _layer_increment(*args, **kwargs)
+
+        monkeypatch.setattr("depthflow.resnet._layer_increment", spy)
+        monkeypatch.setattr("depthflow.sde._layer_increment", spy)
+        return seen
+
+    @staticmethod
+    def run(sampler, N, D):
+        # 600 draws: two whole chunks and a partial one, each cut into 3
+        # blocks. At these scales some draws but not all pass the cap
+        # (swish) or overflow (relu at sigma_w2 = 1e200).
+        x0 = np.linspace(-1.0, 1.0, N)[:, None] * np.ones(D)
+        seed = SeedSpec(73, f"blocks/{sampler}")
+        if sampler == "feedforward":
+            cfg = FeedforwardConfig(depth=4, width=D, sigma_w2=1e200,
+                                    sigma_b2=1.0, activation=RELU)
+            return feedforward_forward(cfg, x0, 600, seed)
+        if sampler == "sde":
+            law = FullyIidLaw(sigma_w=4.0, sigma_b=4.0, dim=D)
+            return simulate_paths(SdeCoefficients(law, SWISH, IDENTITY), x0,
+                                  4, 2.0, 600, seed, store_stride=1)
+        law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
+        model = ModelConfig(depth=4, width=D, horizon=16.0, phi=SWISH,
+                            psi=IDENTITY, law=law)
+        return resnet_forward(model, x0, 600, seed, store_stride=1)
+
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_blocks_match_serial_loop(self, monkeypatch, step_threads,
+                                      sampler):
+        # N > D + 1: the (N, D) state outweighs the D x D + D noise. The
+        # threads switch often, so a block that read or wrote another's
+        # rows would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.run(sampler, 9, 4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(step_threads) > 1
+        monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
+        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
+        want = self.run(sampler, 9, 4)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_projected_layers_are_not_split(self, step_threads, sampler):
+        # N = 2 at D = 8 is projected: D x (2 + 1) normals per draw against
+        # 2 x D state numbers
+        self.run(sampler, 2, 8)
+        assert step_threads == {threading.get_ident()}
+
+    def test_small_chunks_are_not_split(self, monkeypatch, step_threads):
+        # 256 x 9 x 4 state numbers: two blocks would each hold fewer than
+        # ROW_BLOCK_MIN
+        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", ROW_BLOCK_MIN)
+        assert DRAW_CHUNK * 9 * 4 < 2 * ROW_BLOCK_MIN
+        self.run("resnet", 9, 4)
+        assert step_threads == {threading.get_ident()}
+
+    @staticmethod
+    def propagate(step):
+        # one noise number per draw: every chunk is split
+        def draw(c, l):
+            return (np.full((min(DRAW_CHUNK, 600 - c * DRAW_CHUNK), 1, 1),
+                            float(l)),)
+
+        return _propagate(np.ones((3, 2)), 600, 4, 1.0, step, draw,
+                          cap=HARD_CAP)
+
+    def test_block_failure_raised_and_workers_stopped(self):
+        before = threading.active_count()
+        error = RuntimeError("block failed at layer 2")
+
+        def step(x, eps, l):
+            if l == 2 and threading.current_thread() is not \
+                    threading.main_thread():
+                raise error
+            return x + eps[0]
+
+        with pytest.raises(RuntimeError) as info:
+            self.propagate(step)
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_blocks_keep_the_step_warning_state(self):
+        # the step overflows in every block; as on this thread, that is
+        # counted as divergence, not warned about
+        threads = set()
+
+        def step(x, eps, l):
+            threads.add(threading.get_ident())
+            return x * 1e300 * 1e300
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            batch = self.propagate(step)
+        assert threads - {threading.get_ident()}
+        assert batch.diverged.all()
+        assert np.array_equal(batch.xT, np.ones((600, 3, 2)))
 
 
 class TestFeedforward:
