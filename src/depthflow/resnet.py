@@ -12,8 +12,8 @@ so the kernel draws the next (chunk, layer)'s noise on a worker thread
 while the current layer computes. A chunk whose state holds more numbers
 than its layer noise is compute-bound, and a large one has its rows
 stepped in blocks, one per available CPU, at once; every operation of a
-step acts on each draw alone, so the split is exact. The outputs are those of the
-serial loop, bit for bit.
+step acts on each draw alone, so the split is exact. The outputs are
+those of the serial loop, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,7 +41,9 @@ HARD_CAP = 1e6
 # Fewest state numbers (rows x N x D) in a row block of its own. On 2
 # vCPUs, splitting broke even at 1e5 to 2e5 numbers per block (N = 400
 # at D = 64, N = 404 at D = 32): the hand-off to a thread and back, and
-# the contention with the draw thread, cost what the split saved.
+# the contention with the draw thread, cost what the split saved. At the
+# desk sizes it keeps ABC's second pass whole, whose draw makes far more
+# numbers than it returns, and cuts function_space's chunks in two.
 ROW_BLOCK_MIN = 1 << 18
 
 
@@ -241,12 +243,14 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     noise while this one computes. It makes the calls a serial loop makes,
     in the same order. A chunk whose state holds more numbers than its
     layer-0 noise is compute-bound: its rows are split into one block per
-    available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. Each
-    block keeps its own state for the whole chunk, and each layer steps
-    the blocks at once, one on this thread and the others on a pool. Every operation of a step and of the guard acts on each
-    draw alone, so neither changes the output: it is the serial loop's,
-    bit for bit. The workers are gone on return, and an exception raised
-    in ``draw`` or in a block's step comes out of this call.
+    available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. A
+    chunk with more noise is draw-bound, and blocks would only take CPU
+    from the draw. Each block keeps its own state for the whole chunk,
+    and each layer steps the blocks at once, one on this thread and the
+    others on a pool. Every operation of a step and of the guard acts on
+    each draw alone, so neither changes the output: it is the serial
+    loop's, bit for bit. The workers are gone on return, and an exception
+    raised in ``draw`` or in a block's step comes out of this call.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
@@ -294,11 +298,13 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
             kpos = 1
             for l in range(depth):
                 eps = ahead.result()
+                # rebound before the next draw starts, so the last layer's
+                # noise is freed first and the drawer reuses its memory
+                parts = [tuple(e if e is None else e[a:b] for e in eps)
+                         for a, b in blocks]
                 k += 1
                 if k < len(pairs):
                     ahead = drawer.submit(noise, *pairs[k])
-                parts = [tuple(e if e is None else e[a:b] for e in eps)
-                         for a, b in blocks]
                 running = [pool.submit(advance, xs[i], divs[i], parts[i], l)
                            for i in range(1, P)]
                 xs[0], divs[0] = advance(xs[0], divs[0], parts[0], l)

@@ -642,13 +642,27 @@ class TestRowBlocks:
         self.run(sampler, 2, 8)
         assert step_threads == {threading.get_ident()}
 
-    def test_small_chunks_are_not_split(self, monkeypatch, step_threads):
-        # 256 x 9 x 4 state numbers: two blocks would each hold fewer than
-        # ROW_BLOCK_MIN
+    @pytest.mark.parametrize("rows, N, D, blocks", [
+        (DRAW_CHUNK, 2, 64, 1),   # sanity_check, projected
+        (DRAW_CHUNK, 21, 64, 1),  # corr_heatmap
+        (32, 404, 32, 1),         # the largest chunk of ABC's second pass
+        (128, 400, 64, 2),        # function_space
+    ], ids=["sanity", "corr", "abc", "fspace"])
+    def test_block_floor_at_desk_shapes(self, monkeypatch, rows, N, D,
+                                        blocks):
+        # With no noise to weigh against, the floor alone decides: on 2
+        # CPUs only function_space's chunk holds two blocks of
+        # ROW_BLOCK_MIN state numbers.
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
         monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", ROW_BLOCK_MIN)
-        assert DRAW_CHUNK * 9 * 4 < 2 * ROW_BLOCK_MIN
-        self.run("resnet", 9, 4)
-        assert step_threads == {threading.get_ident()}
+        threads = set()
+
+        def step(x, eps, l):
+            threads.add(threading.get_ident())
+            return x
+
+        _propagate(np.zeros((N, D)), rows, 1, 1.0, step, lambda c, l: ())
+        assert len(threads) == blocks
 
     @staticmethod
     def propagate(step):
