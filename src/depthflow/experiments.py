@@ -831,5 +831,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         runner = RUNNERS[cfg.kind]
     except KeyError:
         raise ConfigError(f"unknown experiment kind {cfg.kind!r}")
-    Path(cfg.out).mkdir(parents=True, exist_ok=True)
+    # no mkdir here: the writers make the directory, so a run that fails
+    # before its first write leaves none behind
     return runner(cfg)

@@ -10,14 +10,17 @@ also picks the draws that run, their initial states and the coordinates
 stored. A layer's noise is drawn independently of the state it drives,
 so the kernel draws the next (chunk, layer)'s noise on a worker thread
 while the current layer computes. A chunk whose state holds more numbers
-than its layer noise is compute-bound, and a large one has its rows
-stepped in blocks, one per available CPU, at once; every operation of a
-step acts on each draw alone, so the split is exact. The outputs are
-those of the serial loop, bit for bit.
+than its layer noise is compute-bound: a large one has its rows stepped
+in blocks, one per available CPU, at once, and each thread steps its
+rows in tiles of at most ``ROW_TILE`` state numbers, so a layer's
+temporaries are tile-sized and stay in cache. Every operation of a step
+acts on each draw alone, so neither the blocks nor the tiles change the
+output: it is the serial loop's, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -45,6 +48,20 @@ HARD_CAP = 1e6
 # desk sizes it keeps ABC's second pass whole, whose draw makes far more
 # numbers than it returns, and cuts function_space's chunks in two.
 ROW_BLOCK_MIN = 1 << 18
+
+# Most state numbers (rows x N x D) in a row tile of a compute-bound
+# chunk, 1 MiB of float64. Each thread steps its rows one tile at a time,
+# so the matmul and activation outputs and the guard's squares are
+# tile-sized, not chunk-sized. On 2 vCPUs at function_space's chunk
+# (128 x 400 x 64), 2**17 was the fastest size and cut the process peak
+# from 138 to 94 MiB; 2**19 and 2**20 gave back most of the peak and some
+# time, and at 2**15 and 2**16 the Python work per tile and the GIL
+# contention between the block threads cost more than the smaller tiles
+# saved (2.9 s per run against 2.2-2.3 s). A draw-bound chunk is stepped
+# whole: its noise outweighs the temporaries, and at corr_heatmap's paper
+# shape (N = 21, D = 500) 12-row tiles ran 13% slower with multithreaded
+# BLAS, whose threads took the CPU the draw needs.
+ROW_TILE = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -217,6 +234,19 @@ def _available_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _memory_limit() -> int | None:
+    """Bytes of physical memory, or None where ``sysconf`` cannot tell.
+
+    The page cache counts as free: a run may evict it, so the available
+    page count would reject runs that fit.
+    """
+    try:
+        limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return limit if limit > 0 else None
+
+
 def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
                draw, cap: float | None = None,
                store_stride: int | None = None, rows: dict | None = None,
@@ -245,12 +275,24 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     layer-0 noise is compute-bound: its rows are split into one block per
     available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. A
     chunk with more noise is draw-bound, and blocks would only take CPU
-    from the draw. Each block keeps its own state for the whole chunk,
-    and each layer steps the blocks at once, one on this thread and the
-    others on a pool. Every operation of a step and of the guard acts on
-    each draw alone, so neither changes the output: it is the serial
-    loop's, bit for bit. The workers are gone on return, and an exception
-    raised in ``draw`` or in a block's step comes out of this call.
+    from the draw, and it is stepped whole. In a compute-bound chunk each
+    block is a run of row tiles of at most ``ROW_TILE`` state numbers (one
+    row if a row is larger), the last one short, and each tile keeps its
+    own state for the whole chunk. Each layer steps the blocks at once,
+    one on this thread and the others on a pool, one task per block; a
+    block steps its tiles in order and stores each tile's rows as it goes.
+    So a layer's temporaries are tile-sized: only the chunk's state and
+    its noise grow with the chunk. Every operation of a step and of the
+    guard acts on each draw alone, so neither blocks nor tiles change the
+    output: it is the serial loop's, bit for bit. The workers are gone on
+    return, and an exception raised in ``draw`` or in a tile's step comes
+    out of this call.
+
+    Before it allocates anything the kernel estimates the least the run
+    holds at once: the stored states, a chunk's state and a few
+    temporaries per tile in flight. A run that would not fit in physical
+    memory is refused with a :class:`ConfigError` that states both
+    numbers.
     """
     if n_draws < 1:
         raise ConfigError("n_draws must be >= 1")
@@ -265,18 +307,51 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     pairs = [(c, l) for c in rows for l in range(depth)]
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    states = np.empty((sum(rows.values()), N, keep.size,
-                       D if coords is None else len(coords)))
-    diverged = np.zeros(states.shape[:2], dtype=bool)
+    shape = (sum(rows.values()), N, keep.size,
+             D if coords is None else len(coords))
     cpus = _available_cpus()
+    tile = max(1, ROW_TILE // (N * D))
+
+    def split(n, noise_size=0):
+        # (blocks, rows per tile) of a chunk of n rows: a compute-bound one
+        # is cut into one block per CPU and tiles; a draw-bound one whole
+        size = n * N * D
+        if size <= noise_size:
+            return 1, max(n, 1)
+        return max(1, min(cpus, n, size // ROW_BLOCK_MIN)), tile
+
+    # float64 numbers held at once, at least: the stored states, one
+    # chunk's state and, on each block's thread, about four tile-sized
+    # arrays (the increment, the activation output, the new state, the
+    # guard's copy)
+    most = max(rows.values(), default=0)
+    P, _ = split(most)
+    need = 8 * (math.prod(shape) + (most + 4 * P * min(tile, most)) * N * D)
+    limit = _memory_limit()
+    if limit is not None and need > limit:
+        raise ConfigError(
+            f"the run would hold at least {need} bytes at once, more than "
+            f"the {limit} bytes of physical memory; use fewer draws, "
+            f"inputs, stored steps or a smaller width")
+    states = np.empty(shape)
+    diverged = np.zeros(shape[:2], dtype=bool)
 
     # warning state is per thread; the draw and the blocks keep the step's
     quiet = np.errstate(over="ignore", invalid="ignore")
     noise = quiet(draw)
 
     @quiet
-    def advance(x, div, eps, l):
-        return _freeze_diverged(step(x, eps, l), x, div, cap=cap)
+    def advance(tiles, eps, l, start, kpos):
+        # tiles are [a, b, state] of rows a:b of the chunk that starts at
+        # row start; their flags live in diverged
+        for t in tiles:
+            a, b, x = t
+            part = tuple(e if e is None else e[a:b] for e in eps)
+            at = slice(start + a, start + b)
+            t[2], diverged[at] = _freeze_diverged(step(x, part, l), x,
+                                                  diverged[at], cap=cap)
+            if kpos is not None:
+                states[at, :, kpos] = t[2][..., store]
 
     # one thread makes every draw, in order; the blocks have their own pool
     with ThreadPoolExecutor(1) as drawer, \
@@ -288,34 +363,29 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
             x = np.broadcast_to(first, (n, N, D))
             states[start:start + n, :, 0] = x[..., store]
             eps = ahead.result() if depth else ()
-            noise_size = sum(e.size for e in eps if e is not None)
-            P = max(1, min(cpus, n, x.size // ROW_BLOCK_MIN)) \
-                if x.size > noise_size else 1
+            P, T = split(n, sum(e.size for e in eps if e is not None))
             cuts = [n * i // P for i in range(P + 1)]
-            blocks = list(zip(cuts, cuts[1:]))
-            xs = [x[a:b].copy() for a, b in blocks]
-            divs = [np.zeros((b - a, N), dtype=bool) for a, b in blocks]
+            blocks = [[[a, min(a + T, hi), x[a:min(a + T, hi)].copy()]
+                       for a in range(lo, hi, T)]
+                      for lo, hi in zip(cuts, cuts[1:])]
             kpos = 1
             for l in range(depth):
-                eps = ahead.result()
                 # rebound before the next draw starts, so the last layer's
                 # noise is freed first and the drawer reuses its memory
-                parts = [tuple(e if e is None else e[a:b] for e in eps)
-                         for a, b in blocks]
+                eps = ahead.result()
                 k += 1
                 if k < len(pairs):
                     ahead = drawer.submit(noise, *pairs[k])
-                running = [pool.submit(advance, xs[i], divs[i], parts[i], l)
-                           for i in range(1, P)]
-                xs[0], divs[0] = advance(xs[0], divs[0], parts[0], l)
-                for i, future in enumerate(running, 1):
-                    xs[i], divs[i] = future.result()
-                if kpos < keep.size and keep[kpos] == l + 1:
-                    for (a, b), xb in zip(blocks, xs):
-                        states[start + a:start + b, :, kpos] = xb[..., store]
-                    kpos += 1
-            for (a, b), div in zip(blocks, divs):
-                diverged[start + a:start + b] = div
+                save = kpos if kpos < keep.size and keep[kpos] == l + 1 \
+                    else None
+                running = [pool.submit(advance, tiles, eps, l, start, save)
+                           for tiles in blocks[1:]]
+                advance(blocks[0], eps, l, start, save)
+                for future in running:
+                    future.result()
+                kpos += save is not None
+            # freed before the next chunk's state is built
+            del blocks
             start += n
 
     return PathBatch(times=keep * dt, states=states, diverged=diverged)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -454,6 +455,24 @@ class TestCliEntry:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config"
         assert "input 0.3 " in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_run_too_large_for_memory_leaves_no_directory(
+            self, tmp_path, capsys, monkeypatch):
+        # a 1000-byte machine: the kernel refuses the run before it
+        # allocates, and nothing has been written yet
+        monkeypatch.setattr("depthflow.resnet._memory_limit", lambda: 1000)
+        raw = tiny_overrides("function_space", tmp_path / "o")
+        code = main(["function_space", "--config",
+                     str(write_config(tmp_path, raw))])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config"
+        need = re.search(r"at least (\d+) bytes .* the 1000 bytes",
+                         err["message"])
+        # at least the stored first coordinate: 200 draws x 2 inputs x
+        # 2 time points
+        assert need and int(need.group(1)) >= 200 * 2 * 2 * 8
         assert not (tmp_path / "o").exists()
 
     def test_bad_train_depths_report_config_error(self, tmp_path, capsys):

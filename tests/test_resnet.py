@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
-from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_BLOCK_MIN,
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_BLOCK_MIN, ROW_TILE,
                               PathBatch, _batched_psd_factor, _freeze_diverged,
                               _layer_increment, _propagate, _store_plan,
                               _stream_draw, choose_sampler)
@@ -642,27 +643,30 @@ class TestRowBlocks:
         self.run(sampler, 2, 8)
         assert step_threads == {threading.get_ident()}
 
-    @pytest.mark.parametrize("rows, N, D, blocks", [
-        (DRAW_CHUNK, 2, 64, 1),   # sanity_check, projected
-        (DRAW_CHUNK, 21, 64, 1),  # corr_heatmap
-        (32, 404, 32, 1),         # the largest chunk of ABC's second pass
-        (128, 400, 64, 2),        # function_space
+    @pytest.mark.parametrize("rows, N, D, blocks, tiles", [
+        (DRAW_CHUNK, 2, 64, 1, 1),    # sanity_check, projected
+        (DRAW_CHUNK, 21, 64, 1, 3),   # corr_heatmap
+        (32, 404, 32, 1, 4),          # the largest chunk of ABC's pass 2
+        (128, 400, 64, 2, 26),        # function_space: 13 tiles per block
     ], ids=["sanity", "corr", "abc", "fspace"])
     def test_block_floor_at_desk_shapes(self, monkeypatch, rows, N, D,
-                                        blocks):
+                                        blocks, tiles):
         # With no noise to weigh against, the floor alone decides: on 2
         # CPUs only function_space's chunk holds two blocks of
-        # ROW_BLOCK_MIN state numbers.
+        # ROW_BLOCK_MIN state numbers. Each layer steps every tile of
+        # ROW_TILE state numbers once.
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
         monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", ROW_BLOCK_MIN)
-        threads = set()
+        threads, layers = set(), []
 
         def step(x, eps, l):
             threads.add(threading.get_ident())
+            layers.append(l)
             return x
 
-        _propagate(np.zeros((N, D)), rows, 1, 1.0, step, lambda c, l: ())
+        _propagate(np.zeros((N, D)), rows, 2, 1.0, step, lambda c, l: ())
         assert len(threads) == blocks
+        assert layers.count(0) == layers.count(1) == tiles
 
     @staticmethod
     def propagate(step):
@@ -704,6 +708,117 @@ class TestRowBlocks:
         assert threads - {threading.get_ident()}
         assert batch.diverged.all()
         assert np.array_equal(batch.xT, np.ones((600, 3, 2)))
+
+
+class TestRowTiles:
+    """Each thread steps its rows in tiles of at most ROW_TILE state
+    numbers, and keeps every tile's state for the whole chunk."""
+
+    @pytest.fixture
+    def small_tiles(self, monkeypatch):
+        # 250 numbers: 6 rows at N = 9, D = 4 (1 block of 256 rows is 42
+        # whole tiles and a short one), 41 rows at N = 3, D = 2; any block
+        # size will do
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 250)
+        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
+
+    @pytest.fixture
+    def tile_rows(self, monkeypatch):
+        """The rows of each tile the kernel stepped, in any order."""
+        seen = []
+
+        def spy(x_new, *args, **kwargs):
+            seen.append(x_new.shape[0])
+            return _freeze_diverged(x_new, *args, **kwargs)
+
+        monkeypatch.setattr("depthflow.resnet._freeze_diverged", spy)
+        return seen
+
+    @pytest.mark.parametrize("cpus", [3, 1])
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_tiles_match_serial_loop(self, monkeypatch, small_tiles,
+                                     tile_rows, sampler, cpus):
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: cpus)
+        got = TestRowBlocks.run(sampler, 9, 4)
+        # every block ends in a short tile
+        assert max(tile_rows) == 6 and min(tile_rows) < 6
+        monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
+        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
+        want = TestRowBlocks.run(sampler, 9, 4)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_draw_bound_chunks_are_stepped_whole(self, monkeypatch,
+                                                 small_tiles, tile_rows,
+                                                 sampler):
+        # N = 2 at D = 8 is projected: D x (2 + 1) normals per draw against
+        # 2 x D state numbers, so the draw is the bottleneck and each chunk
+        # is one tile, however small the tiles
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        TestRowBlocks.run(sampler, 2, 8)
+        assert set(tile_rows) == {DRAW_CHUNK, 600 - 2 * DRAW_CHUNK}
+
+    def test_abc_pass_two_tiles_match_serial_loop(self, monkeypatch,
+                                                  small_tiles, tile_rows):
+        from test_abc import SWISH_CAP, select_all, serial_abc_outputs
+
+        from depthflow.experiments import _abc_outputs
+
+        # 22 inputs of width 8: 1 row per tile
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        z, seed = np.array([2.0]), SeedSpec(41, "abc")
+        grid = np.linspace(-2.0, 2.0, 21)
+        got = _abc_outputs(SWISH_CAP, z, seed, 600, select=select_all(600),
+                           z_grid=grid)
+        assert max(tile_rows) == 1
+        assert np.array_equal(got, serial_abc_outputs(
+            SWISH_CAP, z, seed, 600, select=select_all(600), z_grid=grid))
+
+    def test_tile_failure_raised_and_workers_stopped(self, monkeypatch,
+                                                     small_tiles):
+        # the short last tile of a block on a worker fails, after that
+        # block's whole tiles have stepped
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        before = threading.active_count()
+        error = RuntimeError("tile failed at layer 2")
+        tiles = []
+
+        def step(x, eps, l):
+            tiles.append(x.shape[0])
+            if l == 2 and x.shape[0] < 41 and threading.current_thread() \
+                    is not threading.main_thread():
+                raise error
+            return x + eps[0]
+
+        with pytest.raises(RuntimeError) as info:
+            TestRowBlocks.propagate(step)
+        assert info.value is error
+        assert 41 in tiles
+        assert threading.active_count() == before
+
+    def test_peak_memory_at_fspace_chunk(self, monkeypatch):
+        # function_space's chunk on 2 CPUs. Beyond the chunk's state and
+        # two layers' noise (the one stepped and the one drawn ahead) the
+        # kernel holds tile-sized arrays only; chunk-sized temporaries
+        # would add 13 MB each.
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
+        rows, N, D = 128, 400, 64
+        x0 = np.linspace(-2.0, 2.0, N)[:, None] * np.ones(D)
+        # the kernel's first run imports modules; keep them out of the peak
+        resnet_forward(iid_model(2, D), x0[:2], 2, SeedSpec(79, "warm"))
+        tracemalloc.start()
+        try:
+            resnet_forward(iid_model(2, D), x0, rows,
+                           SeedSpec(79, "tiles/memory"), coords=[0])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        state = rows * N * D * 8
+        noise = rows * (D * D + D) * 8
+        assert peak < state + 2 * noise + 8 * ROW_TILE * 8
 
 
 class TestFeedforward:
