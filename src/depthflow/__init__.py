@@ -10,7 +10,6 @@ from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
 from .resnet import (FeedforwardConfig, PathBatch, eoc_solve,
                      feedforward_forward, resnet_forward)
 from .sde import (SdeCoefficients, diffusion_eval, drift_eval,
-                  euler_step_coupled, euler_step_decoupled,
                   linear_growth_check, simulate_paths)
 from .experiments import (AbcSpec, ExperimentConfig, ModelSpec, SgdSpec,
                           apply_overrides, load_config, parse_config,

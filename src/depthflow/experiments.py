@@ -23,9 +23,8 @@ from .activations import get_activation
 from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DepthflowError
 from .laws import FullyIidLaw, scale_eps
-from .resnet import (DRAW_CHUNK, HARD_CAP, FeedforwardConfig, _propagate,
-                     _stream_draw, eoc_solve, feedforward_forward,
-                     resnet_forward)
+from .resnet import (DRAW_CHUNK, FeedforwardConfig, _propagate, _stream_draw,
+                     eoc_solve, feedforward_forward, resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
 from .train import Dataset, TrainConfig, load_idx, sgd_run, toy_blobs
@@ -686,11 +685,9 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     psi = get_activation(spec.inner)
     if spec.kind == "eoc":
         sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
-        cap = None
     else:
         dt = spec.horizon / L
         sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
-        cap = HARD_CAP
     law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
                       sigma_b=float(np.sqrt(sigma_b2)), dim=D)
     sw = law.sigma_w / np.sqrt(D)
@@ -741,7 +738,7 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         return y
 
     x0 = z[None, :, None] * np.concatenate(list(W_I.values()))[:, None, :]
-    batch = _propagate(x0, n_draws, L, 1.0, step, draw, cap=cap,
+    batch = _propagate(x0, n_draws, L, 1.0, step, draw,
                        rows={rep: w.shape[0] for rep, w in W_I.items()},
                        coords=[0])
     return batch.xT[:, 0 if select is None else n_obs:, 0]

@@ -37,30 +37,17 @@ from .laws import FullyIidLaw, sample_eps, scale_eps
 # the reproducibility contract.
 DRAW_CHUNK = 256
 
-# Norm above which a trajectory counts as exploded and is frozen, in both
-# the residual and the SDE sampler.
+# Norm above which a trajectory counts as exploded and is frozen: the one
+# explosion guard of every sampler (residual, SDE, feedforward and both
+# ABC arms), so the two sides of each comparison count divergence alike.
 HARD_CAP = 1e6
 
-# Fewest state numbers (rows x N x D) in a row block of its own. On 2
-# vCPUs, splitting broke even at 1e5 to 2e5 numbers per block (N = 400
-# at D = 64, N = 404 at D = 32): the hand-off to a thread and back, and
-# the contention with the draw thread, cost what the split saved. At the
-# desk sizes it keeps ABC's second pass whole, whose draw makes far more
-# numbers than it returns, and cuts function_space's chunks in two.
+# Fewest state numbers (rows x N x D) in a row block of its own: below
+# it, the hand-off to a thread costs what the split saves.
 ROW_BLOCK_MIN = 1 << 18
 
 # Most state numbers (rows x N x D) in a row tile of a compute-bound
-# chunk, 1 MiB of float64. Each thread steps its rows one tile at a time,
-# so the matmul and activation outputs and the guard's squares are
-# tile-sized, not chunk-sized. On 2 vCPUs at function_space's chunk
-# (128 x 400 x 64), 2**17 was the fastest size and cut the process peak
-# from 138 to 94 MiB; 2**19 and 2**20 gave back most of the peak and some
-# time, and at 2**15 and 2**16 the Python work per tile and the GIL
-# contention between the block threads cost more than the smaller tiles
-# saved (2.9 s per run against 2.2-2.3 s). A draw-bound chunk is stepped
-# whole: its noise outweighs the temporaries, and at corr_heatmap's paper
-# shape (N = 21, D = 500) 12-row tiles ran 13% slower with multithreaded
-# BLAS, whose threads took the CPU the draw needs.
+# chunk, 1 MiB of float64, so a step's temporaries stay in cache.
 ROW_TILE = 1 << 17
 
 
@@ -71,17 +58,13 @@ class PathBatch:
     ``states`` has shape (n_draws, n_inputs, n_stored, D) where the stored
     time points are ``times`` (fewer than D coordinates if the kernel was
     asked to store fewer). ``diverged`` flags (draw, input) pairs whose
-    trajectory hit a non-finite value or the explosion cap; their states
-    are frozen at the last finite value.
+    trajectory went non-finite or whose norm passed ``HARD_CAP``; their
+    states are frozen at the last accepted value.
     """
 
     times: np.ndarray
     states: np.ndarray
     diverged: np.ndarray
-
-    @property
-    def n_draws(self) -> int:
-        return self.states.shape[0]
 
     @property
     def x0(self) -> np.ndarray:
@@ -124,23 +107,17 @@ def _store_plan(L: int, store_stride: int | None):
     return np.unique(np.asarray(idx, dtype=int))
 
 
-def _freeze_diverged(x_new, x_old, diverged, cap=None):
-    """Flag rows that went non-finite (or over the cap) and freeze them.
+def _freeze_diverged(x_new, x_old, diverged):
+    """Flag rows that went non-finite or whose norm passed ``HARD_CAP``,
+    and freeze them.
 
-    One test covers both cases: the row's sum of squares is NaN or inf for
-    any non-finite entry, and fails ``<= cap**2`` when the norm passes the
-    cap. Without a cap, rows whose squares overflow while every entry is
-    finite are not flagged. Flagged rows keep their last accepted value.
+    One test covers both: the row's sum of squares is NaN or inf for any
+    non-finite entry, and fails ``<= HARD_CAP**2`` when the norm passes
+    the cap. Flagged rows keep their last accepted value.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("...d,...d->...", x_new, x_new)
-    if cap is not None:
-        bad = ~(sq <= cap * cap)
-    else:
-        bad = ~np.isfinite(sq)
-        if bad.any():
-            bad[bad] = ~np.isfinite(x_new[bad]).all(axis=-1)
-    diverged = diverged | bad
+    diverged = diverged | ~(sq <= HARD_CAP * HARD_CAP)
     if not diverged.any():
         return x_new, diverged
     return np.where(diverged[..., None], x_old, x_new), diverged
@@ -248,8 +225,8 @@ def _memory_limit() -> int | None:
 
 
 def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
-               draw, cap: float | None = None,
-               store_stride: int | None = None, rows: dict | None = None,
+               draw, store_stride: int | None = None,
+               rows: dict | None = None,
                coords: list | None = None) -> PathBatch:
     """Run ``depth`` steps of ``step`` on N inputs, in chunks of
     ``DRAW_CHUNK`` draws.
@@ -258,8 +235,8 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     arrays (or None) whose first axis runs over the draws of the chunk
     that run. ``step(x, eps, l)`` maps their (rows, N, D) states to the
     next ones given that noise, with overflow and invalid-value warnings
-    off. Rows that go non-finite or whose norm passes ``cap`` are flagged
-    and frozen (:func:`_freeze_diverged`).
+    off. Rows that go non-finite or whose norm passes ``HARD_CAP`` are
+    flagged and frozen (:func:`_freeze_diverged`), for every caller.
 
     ``rows`` maps a chunk to how many of its draws run, in the order the
     chunks run; by default all ``n_draws`` run, chunk by chunk. ``x0`` is the
@@ -349,7 +326,7 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
             part = tuple(e if e is None else e[a:b] for e in eps)
             at = slice(start + a, start + b)
             t[2], diverged[at] = _freeze_diverged(step(x, part, l), x,
-                                                  diverged[at], cap=cap)
+                                                  diverged[at])
             if kpos is not None:
                 states[at, :, kpos] = t[2][..., store]
 
@@ -423,7 +400,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
 
     return _propagate(x0_batch, n_draws, config.depth, dt, step,
                       _stream_draw(seed, law, mode, N, n_draws),
-                      cap=HARD_CAP, store_stride=store_stride, coords=coords)
+                      store_stride=store_stride, coords=coords)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
@@ -439,8 +416,10 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     whose depth-correlation structure the critical initialization
     preserves); only the input and that final layer are stored, at times
     0 and depth. ``noise`` and ``coords`` as in :func:`resnet_forward`. A
-    draw is flagged when its pre-activation goes non-finite, and then
-    stores its last finite one.
+    draw is flagged when its pre-activation goes non-finite or its norm
+    passes ``HARD_CAP``, as in the residual and SDE samplers, and then
+    stores its last accepted one. So a net far off the critical point,
+    whose pre-activation legitimately passes 1e6, is flagged too.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
     N, D = x0_batch.shape

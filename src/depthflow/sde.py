@@ -26,14 +26,12 @@ from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
                    conditional_variance, psd_sqrt, time_change_rescale)
 # _freeze_diverged and _batched_psd_factor are unused here;
 # perfbench/test_selftest.py looks both up here
-from .resnet import HARD_CAP, PathBatch, _batched_psd_factor, \
-    _freeze_diverged, _layer_increment, _propagate, _stream_draw, \
-    choose_sampler  # noqa: F401
+from .resnet import PathBatch, _batched_psd_factor, _freeze_diverged, \
+    _layer_increment, _propagate, _stream_draw, choose_sampler  # noqa: F401
 
 __all__ = [
-    "SdeCoefficients", "drift_eval", "diffusion_eval", "euler_step_decoupled",
-    "euler_step_coupled", "simulate_paths", "time_change_rescale",
-    "linear_growth_check",
+    "SdeCoefficients", "drift_eval", "diffusion_eval", "simulate_paths",
+    "time_change_rescale", "linear_growth_check",
 ]
 
 
@@ -50,12 +48,6 @@ class SdeCoefficients:
             raise ConfigError(
                 f"activation {self.phi.name!r} is not admitted in diffusion mode"
             )
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return drift_eval(self, x)
-
-    def diffusion_factor(self, x: np.ndarray) -> np.ndarray:
-        return diffusion_eval(self, x)
 
 
 def drift_eval(coeffs: SdeCoefficients, x: np.ndarray) -> np.ndarray:
@@ -74,16 +66,8 @@ def diffusion_eval(coeffs: SdeCoefficients, x: np.ndarray) -> np.ndarray:
     return coeffs.phi.dphi0 * psd_sqrt(V)
 
 
-def euler_step_decoupled(coeffs: SdeCoefficients, x: np.ndarray, dt: float,
-                         zeta: np.ndarray) -> np.ndarray:
-    """One Euler-Maruyama step driven by a per-state standard normal."""
-    if not dt > 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    x = np.asarray(x, dtype=float)
-    return x + coeffs.drift(x) * dt \
-        + coeffs.diffusion_factor(x) @ np.asarray(zeta, dtype=float) * np.sqrt(dt)
-
-
+# unused here (the Euler-step oracles in tests/test_sde.py call it);
+# perfbench/tracer.py lists it in TRACED and looks it up here
 def _scaled_noise_term(law: ParamLaw, psi_states: np.ndarray,
                        epsW: np.ndarray, epsb: np.ndarray) -> np.ndarray:
     """The shared-noise diffusion term S_O epsW S_I psi(x) + sigma_b epsb.
@@ -106,19 +90,6 @@ def _scaled_noise_term(law: ParamLaw, psi_states: np.ndarray,
     else:
         raise ConfigError(f"unknown parameter law {type(law).__name__}")
     return psi_states @ np.swapaxes(sW, -1, -2) + sb[..., None, :]
-
-
-def euler_step_coupled(coeffs: SdeCoefficients, states: np.ndarray, dt: float,
-                       epsW: np.ndarray, epsb: np.ndarray) -> np.ndarray:
-    """Advance N coupled inputs by one step with shared standardized noise."""
-    if not dt > 0:
-        raise ConfigError(f"dt must be > 0, got {dt}")
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    px = coeffs.psi(states)
-    drift = np.stack([coeffs.drift(s) for s in states])
-    noise = _scaled_noise_term(coeffs.law, px, np.asarray(epsW, dtype=float),
-                               np.asarray(epsb, dtype=float))
-    return states + drift * dt + coeffs.phi.dphi0 * noise * np.sqrt(dt)
 
 
 def _batched_drift(coeffs: SdeCoefficients,
@@ -185,7 +156,7 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
 
     return _propagate(x0_batch, n_draws, L, dt, step,
                       _stream_draw(seed, law, mode, N, n_draws),
-                      cap=HARD_CAP, store_stride=store_stride)
+                      store_stride=store_stride)
 
 
 def linear_growth_check(coeffs: SdeCoefficients,
@@ -209,8 +180,8 @@ def linear_growth_check(coeffs: SdeCoefficients,
     xnorm = np.linalg.norm(sample_states, axis=1)
     g = np.empty(sample_states.shape[0])
     for k, x in enumerate(sample_states):
-        g[k] = (np.linalg.norm(coeffs.drift(x))
-                + np.linalg.norm(coeffs.diffusion_factor(x))) / (1.0 + xnorm[k])
+        g[k] = (np.linalg.norm(drift_eval(coeffs, x))
+                + np.linalg.norm(diffusion_eval(coeffs, x))) / (1.0 + xnorm[k])
     fitted_c = float(g.max())
     top = xnorm >= xnorm.max() / 10.0
     prev = (xnorm >= xnorm.max() / 100.0) & ~top

@@ -100,7 +100,8 @@ def corr_over_inputs(finals: np.ndarray) -> np.ndarray:
         raise DegenerateDistributionError(
             f"zero output variance for input index(es) {dead.tolist()}"
         )
-    corr = np.corrcoef(finals, rowvar=False)
+    # one input gives a 0-d corrcoef; the result is (inputs x inputs)
+    corr = np.atleast_2d(np.corrcoef(finals, rowvar=False))
     corr = np.clip(corr, -1.0, 1.0)
     np.fill_diagonal(corr, 1.0)
     return corr

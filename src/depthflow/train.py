@@ -9,7 +9,7 @@ parameterizations describe the same function and their gradients differ
 exactly by the increment scaling constants.
 
 Also hosts the IDX (MNIST distribution format) reader and the in-process
-toy dataset generators.
+toy dataset generator.
 """
 
 from __future__ import annotations
@@ -134,20 +134,6 @@ def toy_blobs(n: int, n_features: int, n_classes: int, seed: int,
     targets = np.zeros((n, n_classes))
     targets[np.arange(n), labels] = 1.0
     return Dataset(inputs=inputs, targets=targets, name="toy_blobs")
-
-
-def toy_two_class_separable(n: int, n_features: int, seed: int) -> Dataset:
-    """Linearly separable 2-class set (a linear model achieves 1.0)."""
-    rng = make_rng(SeedSpec(seed, experiment="toy_separable"))
-    w = rng.standard_normal(n_features)
-    w /= np.linalg.norm(w)
-    inputs = rng.standard_normal((n, n_features))
-    margin = inputs @ w
-    inputs += np.where(margin[:, None] >= 0, 0.75, -0.75) * w
-    labels = (inputs @ w >= 0).astype(int)
-    targets = np.zeros((n, 2))
-    targets[np.arange(n), labels] = 1.0
-    return Dataset(inputs=inputs, targets=targets, name="toy_separable")
 
 
 def increment_scales(model: ModelConfig) -> tuple[float, float]:

@@ -62,11 +62,9 @@ def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
     psi = get_activation(spec.inner)
     if spec.kind == "eoc":
         sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
-        cap = None
     else:
         dt = spec.horizon / L
         sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
-        cap = HARD_CAP
     law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
                       sigma_b=float(np.sqrt(sigma_b2)), dim=D)
     sw = law.sigma_w / np.sqrt(D)
@@ -77,7 +75,7 @@ def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
             x_new = phi(h)
             if spec.kind == "diffusion":
                 x_new += x
-        return _freeze_diverged(x_new, x, div, cap=cap)
+        return _freeze_diverged(x_new, x, div)
 
     z = np.asarray(z_values, dtype=float)
     pieces = []
@@ -243,8 +241,8 @@ def test_kernel_matches_serial_loop(monkeypatch, spec, z_obs, capped):
                                              2: [3, 87]}
     flagged = []
 
-    def spy(x_new, x_old, diverged, cap=None):
-        out = _freeze_diverged(x_new, x_old, diverged, cap=cap)
+    def spy(*args):
+        out = _freeze_diverged(*args)
         flagged.append(bool(out[1].any()))
         return out
 

@@ -15,8 +15,8 @@ from depthflow import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw,
                        conditional_variance, corr_over_inputs, cross_covariance,
                        drift_eval, eoc_solve, feedforward_forward,
                        ks_two_sample, linear_growth_check, parse_config,
-                       resnet_forward, run_experiment, simulate_paths,
-                       time_change_rescale)
+                       quad_covariation, resnet_forward, run_experiment,
+                       simulate_paths, time_change_rescale)
 from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.cli import main
 from depthflow.config import make_rng
@@ -163,19 +163,18 @@ def test_criterion_05_quadratic_covariation():
     dt = 1.0 / L
     paths = batch.states  # (draws, 2, L+1, D)
     stacked = np.concatenate([paths[:, 0], paths[:, 1]], axis=-1)
-    diffs = np.diff(stacked, axis=1)
-    realized = np.einsum("cld,clu->cdu", diffs, diffs)
-    errs = np.empty(n_draws)
     eye = np.eye(D)
+    errs = np.empty(n_draws)
     for c in range(n_draws):
-        model = np.zeros((2 * D, 2 * D))
-        for a in range(2):
-            for b in range(2):
-                scal = law.sigma_b ** 2 + (law.sigma_w ** 2 / D) * np.einsum(
-                    "ld,ld->l", paths[c, a, :-1], paths[c, b, :-1])
-                model[a * D:(a + 1) * D, b * D:(b + 1) * D] = \
-                    scal.sum() * dt * eye
-        errs[c] = np.linalg.norm(realized[c] - model) / np.linalg.norm(model)
+        # model rate of the stacked pair at each step's left end: block
+        # (a, b) is (sigma_b^2 + sigma_w^2 / D <x_a, x_b>) I
+        left = paths[c, :, :-1]
+        scal = law.sigma_b ** 2 + (law.sigma_w ** 2 / D) * np.einsum(
+            "ald,bld->lab", left, left)
+        rate = (scal[:, :, None, :, None] * eye[:, None, :]).reshape(
+            L, 2 * D, 2 * D)
+        errs[c] = quad_covariation(stacked[c], stacked[c], rate,
+                                   dt).rel_frobenius_error
     ok = errs.mean() <= 0.10
     report(5, "quadratic covariation consistency", ok,
            f"mean rel err = {errs.mean():.3f}")

@@ -484,6 +484,18 @@ class TestCliEntry:
         assert err["error"] == "config"
         assert "train.depths" in err["message"]
 
+    def test_corr_heatmap_with_one_input(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        path = write_config(tmp_path, tiny_overrides(
+            "corr_heatmap", out, inputs={"values": [0.5]}))
+        assert entry(["corr_heatmap", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["experiment"] == \
+            "corr_heatmap"
+        rows = (out / "corr.csv").read_text().splitlines()
+        assert rows == ["z1,z2,rho", f"{fmt(0.5)},{fmt(0.5)},{fmt(1.0)}"]
+        got, axis = read_svg_matrix(out / "heatmap.svg")
+        assert np.array_equal(got, [[1.0]]) and np.array_equal(axis, [0.5])
+
     def test_unexpected_exception_reported_as_internal(self, tmp_path,
                                                        capsys, monkeypatch):
         def broken(cfg):

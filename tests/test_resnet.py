@@ -256,15 +256,12 @@ class TestProjectedFactor:
         self.check(np.random.default_rng(2).standard_normal((2, 10, 4)))
 
 
-def _old_freeze_diverged(x_new, x_old, diverged, cap=None):
+def _old_freeze_diverged(x_new, x_old, diverged, cap):
     """The guard before it moved to one sum-of-squares test."""
     bad = ~np.isfinite(x_new).all(axis=-1)
-    if cap is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            bad |= np.linalg.norm(np.nan_to_num(x_new, nan=np.inf,
-                                                posinf=np.inf,
-                                                neginf=-np.inf),
-                                  axis=-1) > cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad |= np.linalg.norm(np.nan_to_num(x_new, nan=np.inf, posinf=np.inf,
+                                            neginf=-np.inf), axis=-1) > cap
     diverged = diverged | bad
     out = np.where(diverged[..., None], x_old, x_new)
     return out, diverged
@@ -289,27 +286,22 @@ class TestExplosionGuard:
         diverged[0, 0] = True
         return x_new, x_old, diverged
 
-    @pytest.mark.parametrize("cap", [None, 1e6, 10.0])
-    def test_matches_old_guard(self, cap):
+    @pytest.mark.parametrize("cap", [HARD_CAP, 10.0])
+    def test_matches_old_guard(self, monkeypatch, cap):
+        monkeypatch.setattr("depthflow.resnet.HARD_CAP", cap)
         x_new, x_old, diverged = self.states()
         want, want_div = _old_freeze_diverged(x_new.copy(), x_old, diverged,
                                               cap)
         before = diverged.copy()
-        got, got_div = _freeze_diverged(x_new.copy(), x_old, diverged, cap)
+        got, got_div = _freeze_diverged(x_new.copy(), x_old, diverged)
         assert np.array_equal(got_div, want_div)
         assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(diverged, before)
 
-    def test_uncapped_ignores_overflowing_finite_rows(self):
-        x_new, x_old, diverged = self.states()
-        _, div = _freeze_diverged(x_new, x_old, diverged)
-        assert not div[3, 1] and not div[3, 2] and not div[2, 0]
-        assert div[0, 1] and div[1, 2] and div[1, 3]
-
     def test_nothing_flagged_returns_new_states(self):
         x = np.ones((2, 3, 4))
         out, div = _freeze_diverged(x, np.zeros_like(x),
-                                    np.zeros((2, 3), dtype=bool), cap=1e6)
+                                    np.zeros((2, 3), dtype=bool))
         assert out is x and not div.any()
 
     def test_resnet_and_sde_count_the_same_events(self):
@@ -374,17 +366,20 @@ class TestPropagationKernel:
         assert not np.array_equal(full.xT[DRAW_CHUNK:DRAW_CHUNK + 10],
                                   full.xT[:10])
 
-    def test_feedforward_flags_on_the_pre_activation(self):
-        # relu maps -inf to 0, so only the pre-activation shows the overflow:
-        # no stored pre-activation is non-finite at any depth, and a flagged
-        # draw stores its last finite one, which is the output of the
-        # shallower net (streams are keyed by layer) at the deepest depth
-        # where that draw was still unflagged
+    def test_feedforward_flags_on_the_pre_activation(self, monkeypatch):
+        # at sigma_w2 = 100 the pre-activation of some draws passes the cap
+        # within 10 layers and that of others does not. relu zeroes the
+        # negative coordinates, so a pre-activation can pass the cap while
+        # its activation stays under it; the guard reads the former. A
+        # flagged draw stays flagged and stores its last accepted
+        # pre-activation, which is the output of the shallower net
+        # (streams are keyed by layer) at the deepest depth where that draw
+        # was still unflagged
         D, L, n = 4, 10, 200
         x0 = np.vstack([np.full(D, 1.0), np.full(D, -0.5)])
 
         def run(depth):
-            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=1e100,
+            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=100.0,
                                     sigma_b2=1.0, activation=RELU)
             return feedforward_forward(cfg, x0, n, SeedSpec(47, "ffflag"),
                                        noise="materialized")
@@ -392,8 +387,19 @@ class TestPropagationKernel:
         runs = {k: run(k) for k in range(1, L + 1)}
         deep = runs[L]
         assert deep.diverged.any() and not deep.diverged.all()
+        # the unguarded pre-activations h[k - 1] at depth k
+        monkeypatch.setattr("depthflow.resnet.HARD_CAP", np.inf)
+        free = [run(k) for k in range(1, L + 1)]
+        assert not any(b.diverged.any() for b in free)
+        h = np.stack([b.xT for b in free])
+        over = np.logical_or.accumulate(
+            np.linalg.norm(h, axis=-1) > HARD_CAP)
+        post = np.logical_or.accumulate(
+            np.linalg.norm(np.maximum(h, 0.0), axis=-1) > HARD_CAP)
+        assert (over[-1] != post[-1]).any()
         for k in range(1, L + 1):
-            assert np.isfinite(runs[k].states).all()
+            assert np.array_equal(runs[k].diverged, over[k - 1])
+            assert (np.linalg.norm(runs[k].states, axis=-1) <= HARD_CAP).all()
         for k in range(1, L):
             assert not (runs[k].diverged & ~runs[k + 1].diverged).any()
         for d, i in zip(*np.nonzero(deep.diverged)):
@@ -403,8 +409,8 @@ class TestPropagationKernel:
             assert np.array_equal(deep.xT[d, i], want)
 
 
-def serial_propagate(x0, n_draws, depth, dt, step, draw, cap=None,
-                     store_stride=None, rows=None, coords=None):
+def serial_propagate(x0, n_draws, depth, dt, step, draw, store_stride=None,
+                     rows=None, coords=None):
     """The propagation kernel as a plain loop: for each (chunk, layer),
     draw its noise, then take the step."""
     N, D = x0.shape[-2:]
@@ -423,7 +429,7 @@ def serial_propagate(x0, n_draws, depth, dt, step, draw, cap=None,
             eps = draw(c, l)
             with np.errstate(over="ignore", invalid="ignore"):
                 x_new = step(x, eps, l)
-            x, div = _freeze_diverged(x_new, x, div, cap=cap)
+            x, div = _freeze_diverged(x_new, x, div)
             trail.append(x)
         states.append(np.stack(trail, axis=2)[:, :, keep][..., store])
         diverged.append(div)
@@ -439,13 +445,13 @@ class TestNoiseLookahead:
     @staticmethod
     def run(sampler, noise, law_kind="iid"):
         # 600 draws: two whole chunks and a partial one. At these scales
-        # some draws but not all pass the cap (swish) or overflow (relu at
-        # sigma_w2 = 1e200), so the flags are compared too.
+        # some draws but not all pass the cap (swish, and relu at
+        # sigma_w2 = 3000), so the flags are compared too.
         D, depth = 8, 4
         x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
         seed = SeedSpec(53, f"ahead/{sampler}")
         if sampler == "feedforward":
-            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=1e200,
+            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=3000.0,
                                     sigma_b2=1.0, activation=RELU)
             return feedforward_forward(cfg, x0, 600, seed, noise=noise)
         scale, horizon = (4.0, 2.0) if sampler == "sde" else (16.0, 16.0)
@@ -501,7 +507,7 @@ class TestNoiseLookahead:
         def step(x, eps, l):
             return x + SWISH(_layer_increment(law, eps, x, "projected", 1.0))
 
-        args = (x0, 600, depth, 1.0, step, draw, HARD_CAP, 2, rows, [0, 4])
+        args = (x0, 600, depth, 1.0, step, draw, 2, rows, [0, 4])
         got, want = _propagate(*args), serial_propagate(*args)
         assert got.states.shape == (37, 3, 4, 2)
         assert want.diverged.any() and not want.diverged.all()
@@ -599,11 +605,11 @@ class TestRowBlocks:
     def run(sampler, N, D):
         # 600 draws: two whole chunks and a partial one, each cut into 3
         # blocks. At these scales some draws but not all pass the cap
-        # (swish) or overflow (relu at sigma_w2 = 1e200).
+        # (swish, and relu at sigma_w2 = 3000).
         x0 = np.linspace(-1.0, 1.0, N)[:, None] * np.ones(D)
         seed = SeedSpec(73, f"blocks/{sampler}")
         if sampler == "feedforward":
-            cfg = FeedforwardConfig(depth=4, width=D, sigma_w2=1e200,
+            cfg = FeedforwardConfig(depth=4, width=D, sigma_w2=3000.0,
                                     sigma_b2=1.0, activation=RELU)
             return feedforward_forward(cfg, x0, 600, seed)
         if sampler == "sde":
@@ -675,8 +681,7 @@ class TestRowBlocks:
             return (np.full((min(DRAW_CHUNK, 600 - c * DRAW_CHUNK), 1, 1),
                             float(l)),)
 
-        return _propagate(np.ones((3, 2)), 600, 4, 1.0, step, draw,
-                          cap=HARD_CAP)
+        return _propagate(np.ones((3, 2)), 600, 4, 1.0, step, draw)
 
     def test_block_failure_raised_and_workers_stopped(self):
         before = threading.active_count()

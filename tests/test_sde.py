@@ -4,8 +4,7 @@ import pytest
 from depthflow import (FullyIidLaw, GeneralGaussianLaw,
                        MatrixNormalLaw, ModelConfig, SdeCoefficients,
                        SeedSpec, conditional_variance, cross_covariance,
-                       diffusion_eval, drift_eval, euler_step_coupled,
-                       euler_step_decoupled, ks_two_sample,
+                       diffusion_eval, drift_eval, ks_two_sample,
                        linear_growth_check, resnet_forward, simulate_paths,
                        time_change_rescale)
 from depthflow.activations import IDENTITY, RELU, SWISH, TANH
@@ -13,6 +12,29 @@ from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps
 from depthflow.resnet import choose_sampler
+from depthflow.sde import _scaled_noise_term
+
+
+def euler_step_decoupled(coeffs, x, dt, zeta):
+    """One Euler-Maruyama step driven by a per-state standard normal."""
+    if not dt > 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    x = np.asarray(x, dtype=float)
+    return x + drift_eval(coeffs, x) * dt \
+        + diffusion_eval(coeffs, x) @ np.asarray(zeta, dtype=float) \
+        * np.sqrt(dt)
+
+
+def euler_step_coupled(coeffs, states, dt, epsW, epsb):
+    """Advance N coupled inputs by one step with shared standardized noise."""
+    if not dt > 0:
+        raise ConfigError(f"dt must be > 0, got {dt}")
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    px = coeffs.psi(states)
+    drift = np.stack([drift_eval(coeffs, s) for s in states])
+    noise = _scaled_noise_term(coeffs.law, px, np.asarray(epsW, dtype=float),
+                               np.asarray(epsb, dtype=float))
+    return states + drift * dt + coeffs.phi.dphi0 * noise * np.sqrt(dt)
 
 
 def iid_coeffs(D, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY):
@@ -131,7 +153,7 @@ class TestSteppers:
         dt = 1.0 / 500
         rng = make_rng(SeedSpec(4, "1step"))
         zeta = rng.standard_normal((100_000, 4))
-        S = coeffs.diffusion_factor(np.zeros(4))
+        S = diffusion_eval(coeffs, np.zeros(4))
         stepped = (S @ zeta.T).T * np.sqrt(dt)
         v = stepped[:, 0].var(ddof=1)
         target = coeffs.phi.dphi0 ** 2 * 1.0 * dt
@@ -157,7 +179,6 @@ class TestSteppers:
         epsW = rng.standard_normal((n, 8, 8))
         epsb = rng.standard_normal((n, 8))
         # vectorized replica of the coupled step's noise term
-        from depthflow.sde import _scaled_noise_term
         px = np.broadcast_to(states, (n, 2, 8))
         term = coeffs.phi.dphi0 * _scaled_noise_term(coeffs.law, px, epsW,
                                                      epsb) * np.sqrt(dt)
@@ -176,7 +197,7 @@ class TestSteppers:
         coupled = batch.xT[:, 0, 0]
         rng = make_rng(SeedSpec(8, "margd"))
         zeta = rng.standard_normal((n, 4))
-        S = coeffs.diffusion_factor(x0)
+        S = diffusion_eval(coeffs, x0)
         decoupled = (x0 + (S @ zeta.T).T * np.sqrt(0.01))[:, 0]
         stat, _ = ks_two_sample(coupled, decoupled)
         assert stat <= 0.0275

@@ -121,6 +121,11 @@ class TestCorr:
         assert np.array_equal(np.diag(corr), np.ones(4))
         assert (np.abs(corr) <= 1.0).all()
 
+    def test_one_input_is_one_by_one(self):
+        x = np.random.default_rng(10).standard_normal((50, 1))
+        corr = corr_over_inputs(x)
+        assert corr.shape == (1, 1) and corr[0, 0] == 1.0
+
     def test_degenerate_column_named(self):
         x = np.random.default_rng(9).standard_normal((50, 3))
         x[:, 1] = 7.0

@@ -3,12 +3,26 @@ import struct
 import numpy as np
 import pytest
 
-from depthflow import (FullyIidLaw, ModelConfig, SeedSpec, TrainConfig,
-                       backward, forward_loss, load_idx, sgd_run)
+from depthflow import (Dataset, FullyIidLaw, ModelConfig, SeedSpec,
+                       TrainConfig, backward, forward_loss, load_idx, sgd_run)
 from depthflow.activations import IDENTITY, TANH
+from depthflow.config import make_rng
 from depthflow.errors import ConfigError, DataFormatError
-from depthflow.train import (increment_scales, init_params, toy_blobs,
-                             toy_two_class_separable)
+from depthflow.train import increment_scales, init_params, toy_blobs
+
+
+def toy_two_class_separable(n: int, n_features: int, seed: int) -> Dataset:
+    """Linearly separable 2-class set (a linear model achieves 1.0)."""
+    rng = make_rng(SeedSpec(seed, experiment="toy_separable"))
+    w = rng.standard_normal(n_features)
+    w /= np.linalg.norm(w)
+    inputs = rng.standard_normal((n, n_features))
+    margin = inputs @ w
+    inputs += np.where(margin[:, None] >= 0, 0.75, -0.75) * w
+    labels = (inputs @ w >= 0).astype(int)
+    targets = np.zeros((n, 2))
+    targets[np.arange(n), labels] = 1.0
+    return Dataset(inputs=inputs, targets=targets, name="toy_separable")
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0):
