@@ -34,7 +34,8 @@ class SolverError(DepthflowError):
 
 
 class DegenerateDistributionError(DepthflowError):
-    """A sample has zero variance where spread is required."""
+    """A sample has zero variance, or too few usable draws, where spread
+    is required."""
 
     category = "numerical"
 

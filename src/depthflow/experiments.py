@@ -13,7 +13,7 @@ import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ import yaml
 
 from .activations import get_activation
 from .config import ModelConfig, SeedSpec, make_rng
-from .errors import ConfigError, DepthflowError
+from .errors import ConfigError, DegenerateDistributionError
 from .laws import FullyIidLaw, scale_eps
 from .resnet import (DRAW_CHUNK, FeedforwardConfig, _propagate, _stream_draw,
                      eoc_solve, feedforward_forward, resnet_forward)
@@ -49,6 +49,12 @@ class ModelSpec:
     width: int = 64
     horizon: float = 1.0
 
+    def __post_init__(self):
+        if not self.horizon > 0:
+            raise ConfigError(f"model.horizon: must be > 0, got {self.horizon}")
+        get_activation(self.activation)
+        get_activation(self.inner)
+
 
 @dataclass(frozen=True)
 class SgdSpec:
@@ -60,8 +66,9 @@ class SgdSpec:
     epochs: int = 1
     sigma_w2: float = 1.0
     sigma_b2: float = 1.0
-    dataset: tuple = (("kind", "toy_blobs"), ("n", 10000), ("features", 16),
-                      ("classes", 10), ("test_n", 2000))
+    # sorted by key, as parsed
+    dataset: tuple = (("classes", 10), ("features", 16), ("kind", "toy_blobs"),
+                      ("n", 10000), ("test_n", 2000))
 
 
 @dataclass(frozen=True)
@@ -72,231 +79,167 @@ class AbcSpec:
     eoc_sigma_b2: float = 0.05
 
     def __post_init__(self):
-        if self.keep < 1:
-            raise ConfigError(f"abc.keep: must be >= 1, got {self.keep}")
         if self.keep > self.prior_draws:
-            raise ConfigError(
-                f"abc.keep: {self.keep} exceeds prior_draws {self.prior_draws}"
-            )
-        if not self.eoc_sigma_b2 >= 0:
-            raise ConfigError(f"abc.eoc_sigma_b2: must be nonnegative, "
-                              f"got {self.eoc_sigma_b2}")
+            raise ConfigError(f"abc.keep: {self.keep} exceeds prior_draws "
+                              f"{self.prior_draws}")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    kind: str
-    seed: int
-    out: str
+    # metadata "key": the config key, where it is not the field's name
+    kind: str = field(metadata={"key": "experiment"})
+    seed: int = 0
+    out: str = "out"
     model: ModelSpec = ModelSpec()
     inputs: tuple = (0.0, 1.0)
     draws: int = 10000
     functions: int = 30
-    sgd: SgdSpec = SgdSpec()
+    sgd: SgdSpec = field(default=SgdSpec(), metadata={"key": "train"})
     abc: AbcSpec = AbcSpec()
 
 
-def _typed(raw: dict, path: str, key: str, kind, default):
-    """Fetch raw[key] coerced to ``kind``, naming the key path on failure."""
-    loc = f"{path}.{key}" if path else key
-    if key not in raw:
-        if default is None:
-            raise ConfigError(f"{loc}: required key missing")
-        return default
-    value = raw.pop(key)
-    try:
-        if kind is int:
-            if isinstance(value, bool) or int(value) != value:
-                raise ValueError
-            return int(value)
-        if kind is float:
-            return _finite(float(value), loc)
-        if kind is str:
-            if not isinstance(value, str):
-                raise ValueError
-            return value
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{loc}: expected {kind.__name__}, got {value!r}")
-    return value
-
-
-def _finite(value: float, loc: str) -> float:
-    if not math.isfinite(value):
-        raise ConfigError(f"{loc}: must be finite, got {value}")
-    return value
-
-
-def _typed_list(raw: dict, path: str, key: str, kind, default) -> tuple:
-    """Fetch the non-empty list raw[key], each entry coerced like _typed."""
-    values = raw.pop(key, default)
-    if not isinstance(values, (list, tuple)) or not values:
-        raise ConfigError(f"{path}.{key}: expected a non-empty list, "
-                          f"got {values!r}")
-    return tuple(_typed({key: v}, path, key, kind, None) for v in values)
-
-
-def _block(raw: dict, key: str) -> dict:
-    value = raw.pop(key, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected a mapping, got {value!r}")
-    return dict(value)
-
-
-def _reject_unknown(raw: dict, path: str):
-    if raw:
-        keys = ", ".join(sorted(map(str, raw)))
-        loc = path or "top level"
-        raise ConfigError(f"{loc}: unknown key(s) {keys}")
-
-
-def _parse_model(raw: dict) -> ModelSpec:
-    spec = ModelSpec(
-        kind=_typed(raw, "model", "kind", str, "diffusion"),
-        activation=_typed(raw, "model", "activation", str, "tanh"),
-        inner=_typed(raw, "model", "inner", str, "identity"),
-        sigma_w2=_typed(raw, "model", "sigma_w2", float, 1.0),
-        sigma_b2=_typed(raw, "model", "sigma_b2", float, 1.0),
-        depth=_typed(raw, "model", "depth", int, 64),
-        width=_typed(raw, "model", "width", int, 64),
-        horizon=_typed(raw, "model", "horizon", float, 1.0),
-    )
-    _reject_unknown(raw, "model")
-    if spec.kind not in MODEL_KINDS:
-        raise ConfigError(f"model.kind: expected one of {MODEL_KINDS}, "
-                          f"got {spec.kind!r}")
-    for key in ("sigma_w2", "sigma_b2"):
-        if not getattr(spec, key) >= 0:
-            raise ConfigError(f"model.{key}: must be nonnegative")
-    for key in ("depth", "width"):
-        if getattr(spec, key) < 1:
-            raise ConfigError(f"model.{key}: must be >= 1")
-    if not spec.horizon > 0:
-        raise ConfigError("model.horizon: must be > 0")
-    get_activation(spec.activation)
-    get_activation(spec.inner)
-    return spec
-
-
-def _parse_inputs(raw) -> tuple:
-    """values list, or a {start, stop, points} grid of scalar inputs."""
-    if raw is None:
-        return (0.0, 1.0)
-    if not isinstance(raw, dict):
-        raise ConfigError(f"inputs: expected a mapping, got {raw!r}")
-    raw = dict(raw)
-    if "values" in raw:
-        values = raw.pop("values")
-        _reject_unknown(raw, "inputs")
-        if not isinstance(values, list) or not values:
-            raise ConfigError("inputs.values: expected a non-empty list")
-        try:
-            return tuple(_finite(float(v), "inputs.values") for v in values)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"inputs.values: non-numeric entry in {values!r}")
-    if "grid" in raw:
-        grid = _block(raw, "grid")
-        _reject_unknown(raw, "inputs")
-        start = _typed(grid, "inputs.grid", "start", float, -2.0)
-        stop = _typed(grid, "inputs.grid", "stop", float, 2.0)
-        points = _typed(grid, "inputs.grid", "points", int, 400)
-        _reject_unknown(grid, "inputs.grid")
-        if points < 1 or not stop > start:
-            raise ConfigError("inputs.grid: need points >= 1 and stop > start")
-        # finite ends far apart can still overflow the spacing
-        _finite(stop - start, "inputs.grid: stop - start")
-        return tuple(np.linspace(start, stop, points).tolist())
-    raise ConfigError("inputs: expected a 'values' list or a 'grid' block")
+@dataclass(frozen=True)
+class InputGrid:
+    start: float = -2.0
+    stop: float = 2.0
+    points: int = 400
 
 
 DATASET_KEYS = {"kind": str, "n": int, "features": int, "classes": int,
                 "test_n": int, "images": str, "labels": str,
                 "test_images": str, "test_labels": str}
 
+# Each config key is a spec field, with its type and default; these tables
+# hold the bounds by key path. LEAST bounds each entry of a list.
+LEAST = {"draws": 2, "functions": 0, "inputs.grid.points": 1,
+         "model.sigma_w2": 0, "model.sigma_b2": 0, "model.depth": 1,
+         "model.width": 1, "train.depths": 1, "train.widths": 1,
+         "train.learning_rate": 0, "train.batch_size": 1, "train.epochs": 1,
+         "train.sigma_w2": 0, "train.sigma_b2": 0, "train.dataset.n": 1,
+         "train.dataset.features": 1, "train.dataset.classes": 1,
+         "train.dataset.test_n": 1, "abc.keep": 1, "abc.eoc_sigma_b2": 0}
+CHOICES = {"experiment": EXPERIMENT_KINDS, "model.kind": MODEL_KINDS,
+           "train.modes": ("reparametrized", "standard"),
+           "train.dataset.kind": ("toy_blobs", "idx")}
 
-def _parse_sgd(raw: dict) -> SgdSpec:
-    given = _block(raw, "dataset") or dict(SgdSpec().dataset)
-    dataset = {key: _typed(given, "train.dataset", key, kind, None)
+
+def _scalar(value, loc: str, kind):
+    """``value`` coerced to ``kind`` and checked against its key's bounds."""
+    try:
+        if kind is int:
+            if isinstance(value, bool) or int(value) != value:
+                raise ValueError
+            value = int(value)
+        elif kind is float:
+            value = float(value)
+        elif not isinstance(value, str):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{loc}: expected {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{loc}: must be finite, got {value}")
+    if loc in LEAST and not value >= LEAST[loc]:
+        raise ConfigError(f"{loc}: must be >= {LEAST[loc]}, got {value}")
+    if loc in CHOICES and value not in CHOICES[loc]:
+        raise ConfigError(f"{loc}: expected one of {CHOICES[loc]}, "
+                          f"got {value!r}")
+    return value
+
+
+def _mapping(raw, loc: str) -> dict:
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{loc or 'config root'}: expected a mapping, "
+                          f"got {raw!r}")
+    return dict(raw)
+
+
+def _reject_unknown(raw: dict, path: str):
+    if raw:
+        raise ConfigError(f"{path or 'top level'}: unknown key(s) "
+                          f"{', '.join(sorted(map(str, raw)))}")
+
+
+def _parse(cls, raw, path: str = ""):
+    """A ``cls`` from the mapping ``raw``: a missing key takes its field's
+    default, and a value is coerced to the default's type. A tuple default
+    takes a non-empty list, a dataclass default a block of its own fields,
+    and the keys in ``PARSERS`` a format of their own."""
+    raw, values = _mapping(raw, path), {}
+    for f in dataclasses.fields(cls):
+        key, default = f.metadata.get("key", f.name), f.default
+        loc = f"{path}.{key}" if path else key
+        if key not in raw:
+            if default is dataclasses.MISSING:
+                raise ConfigError(f"{loc}: required key missing")
+            continue
+        value = raw.pop(key)
+        if loc in PARSERS:
+            value = PARSERS[loc](value, loc)
+        elif dataclasses.is_dataclass(default):
+            value = _parse(type(default), value, loc)
+        elif isinstance(default, tuple):
+            if not isinstance(value, (list, tuple)) or not value:
+                raise ConfigError(f"{loc}: expected a non-empty list, "
+                                  f"got {value!r}")
+            value = tuple(_scalar(v, loc, type(default[0])) for v in value)
+        else:
+            # the one field with no default, ``experiment``, is a string
+            kind = str if default is dataclasses.MISSING else type(default)
+            value = _scalar(value, loc, kind)
+        values[f.name] = value
+    _reject_unknown(raw, path)
+    return cls(**values)
+
+
+def _parse_inputs(raw, loc: str) -> tuple:
+    """values list, or a {start, stop, points} grid of scalar inputs."""
+    raw = _mapping(raw, loc)
+    if "values" in raw:
+        values = raw.pop("values")
+        _reject_unknown(raw, loc)
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"{loc}.values: expected a non-empty list")
+        return tuple(_scalar(v, f"{loc}.values", float) for v in values)
+    if "grid" in raw:
+        grid = _parse(InputGrid, raw.pop("grid"), f"{loc}.grid")
+        _reject_unknown(raw, loc)
+        # finite ends far apart can still overflow the spacing
+        span = grid.stop - grid.start
+        if not 0 < span < math.inf:
+            raise ConfigError(f"{loc}.grid: stop - start must be finite and "
+                              f"> 0, got {span}")
+        return tuple(np.linspace(grid.start, grid.stop, grid.points).tolist())
+    raise ConfigError(f"{loc}: expected a 'values' list or a 'grid' block")
+
+
+def _parse_dataset(raw, loc: str) -> tuple:
+    given = _mapping(raw, loc) or dict(SgdSpec.dataset)
+    dataset = {key: _scalar(given.pop(key), f"{loc}.{key}", kind)
                for key, kind in DATASET_KEYS.items() if key in given}
-    _reject_unknown(given, "train.dataset")
-    for key in ("n", "features", "classes", "test_n"):
-        if dataset.get(key, 1) < 1:
-            raise ConfigError(f"train.dataset.{key}: must be >= 1, "
-                              f"got {dataset[key]}")
-    spec = SgdSpec(
-        modes=_typed_list(raw, "train", "modes", str,
-                          ["reparametrized", "standard"]),
-        depths=_typed_list(raw, "train", "depths", int, [8, 64]),
-        widths=_typed_list(raw, "train", "widths", int, [32, 128]),
-        learning_rate=_typed(raw, "train", "learning_rate", float, 0.05),
-        batch_size=_typed(raw, "train", "batch_size", int, 200),
-        epochs=_typed(raw, "train", "epochs", int, 1),
-        sigma_w2=_typed(raw, "train", "sigma_w2", float, 1.0),
-        sigma_b2=_typed(raw, "train", "sigma_b2", float, 1.0),
-        dataset=tuple(sorted(dataset.items())),
-    )
-    _reject_unknown(raw, "train")
-    for mode in spec.modes:
-        if mode not in ("reparametrized", "standard"):
-            raise ConfigError(f"train.modes: unknown mode {mode!r}")
-    sizes = {"depths": min(spec.depths), "widths": min(spec.widths),
-             "batch_size": spec.batch_size, "epochs": spec.epochs}
-    for key, value in sizes.items():
-        if value < 1:
-            raise ConfigError(f"train.{key}: must be >= 1, got {value}")
-    for key in ("learning_rate", "sigma_w2", "sigma_b2"):
-        if not getattr(spec, key) >= 0:
-            raise ConfigError(f"train.{key}: must be nonnegative")
-    return spec
+    _reject_unknown(given, loc)
+    return tuple(sorted(dataset.items()))
 
 
-def _parse_abc(raw: dict) -> AbcSpec:
-    obs = raw.pop("observations", [])
-    if not isinstance(obs, list):
-        raise ConfigError("abc.observations: expected a list of [z, y] pairs")
+def _parse_observations(raw, loc: str) -> tuple:
+    if not isinstance(raw, list):
+        raise ConfigError(f"{loc}: expected a list of [z, y] pairs")
     pairs = []
-    for k, pair in enumerate(obs):
-        loc = f"abc.observations[{k}]"
-        try:
-            z, y = pair
-            pairs.append((_finite(float(z), loc), _finite(float(y), loc)))
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{loc}: expected a [z, y] pair, got {pair!r}")
-    spec = AbcSpec(
-        observations=tuple(pairs),
-        prior_draws=_typed(raw, "abc", "prior_draws", int, 10000),
-        keep=_typed(raw, "abc", "keep", int, 10),
-        eoc_sigma_b2=_typed(raw, "abc", "eoc_sigma_b2", float, 0.05),
-    )
-    _reject_unknown(raw, "abc")
-    return spec
+    for k, pair in enumerate(raw):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError(f"{loc}[{k}]: expected a [z, y] pair, "
+                              f"got {pair!r}")
+        pairs.append(tuple(_scalar(v, f"{loc}[{k}]", float) for v in pair))
+    return tuple(pairs)
+
+
+PARSERS = {"inputs": _parse_inputs, "train.dataset": _parse_dataset,
+           "abc.observations": _parse_observations}
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root: expected a mapping")
-    raw = dict(raw)
-    kind = _typed(raw, "", "experiment", str, None)
-    if kind not in EXPERIMENT_KINDS:
-        raise ConfigError(f"experiment: expected one of {EXPERIMENT_KINDS}, "
-                          f"got {kind!r}")
-    cfg = ExperimentConfig(
-        kind=kind,
-        seed=_typed(raw, "", "seed", int, 0),
-        out=_typed(raw, "", "out", str, "out"),
-        model=_parse_model(_block(raw, "model")),
-        inputs=_parse_inputs(raw.pop("inputs", None)),
-        draws=_typed(raw, "", "draws", int, 10000),
-        functions=_typed(raw, "", "functions", int, 30),
-        sgd=_parse_sgd(_block(raw, "train")),
-        abc=_parse_abc(_block(raw, "abc")),
-    )
-    _reject_unknown(raw, "")
-    if cfg.draws < 2:
-        raise ConfigError("draws: must be >= 2")
-    if cfg.functions < 0:
-        raise ConfigError("functions: must be >= 0")
+    cfg = _parse(ExperimentConfig, raw)
     if cfg.kind == "abc":
         _check_observations(cfg)
     return cfg
@@ -324,34 +267,21 @@ def load_config(path) -> ExperimentConfig:
     return parse_config(raw)
 
 
-def config_to_dict(cfg: ExperimentConfig) -> dict:
+def config_to_dict(spec) -> dict:
     """Plain-dict form of a config; parse(serialize(cfg)) == cfg."""
-    return {
-        "experiment": cfg.kind,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "model": dataclasses.asdict(cfg.model),
-        "inputs": {"values": list(cfg.inputs)},
-        "draws": cfg.draws,
-        "functions": cfg.functions,
-        "train": {
-            "modes": list(cfg.sgd.modes),
-            "depths": list(cfg.sgd.depths),
-            "widths": list(cfg.sgd.widths),
-            "learning_rate": cfg.sgd.learning_rate,
-            "batch_size": cfg.sgd.batch_size,
-            "epochs": cfg.sgd.epochs,
-            "sigma_w2": cfg.sgd.sigma_w2,
-            "sigma_b2": cfg.sgd.sigma_b2,
-            "dataset": dict(cfg.sgd.dataset),
-        },
-        "abc": {
-            "observations": [list(p) for p in cfg.abc.observations],
-            "prior_draws": cfg.abc.prior_draws,
-            "keep": cfg.abc.keep,
-            "eoc_sigma_b2": cfg.abc.eoc_sigma_b2,
-        },
-    }
+    out = {}
+    for f in dataclasses.fields(spec):
+        value = getattr(spec, f.name)
+        if dataclasses.is_dataclass(value):
+            value = config_to_dict(value)
+        elif f.name == "inputs":
+            value = {"values": list(value)}
+        elif f.name == "dataset":
+            value = dict(value)
+        elif isinstance(value, tuple):
+            value = [list(v) if isinstance(v, tuple) else v for v in value]
+        out[f.metadata.get("key", f.name)] = value
+    return out
 
 
 def save_config(cfg: ExperimentConfig, path):
@@ -521,15 +451,25 @@ def run_sanity_check(cfg: ExperimentConfig) -> dict:
     draw_rows, kde_rows, summary_rows = [], [], []
     summary = {"inputs": [], "ks": [], "threshold": []}
     for k, z in enumerate(cfg.inputs):
-        values = {name: b.xT[:, k, 0] for name, b in samplers.items()}
-        stat, thr = ks_two_sample(values["resnet"], values["sde"])
-        lo = min(v.min() for v in values.values())
-        hi = max(v.max() for v in values.values())
+        # the statistics see only the draws that did not diverge: a
+        # diverged draw is frozen, not a sample of the law
+        alive = {name: b.xT[~b.diverged[:, k], k, 0]
+                 for name, b in samplers.items()}
+        # with fewer than 10 draws in all, the KS test raises a config error
+        if min(v.size for v in alive.values()) < 10 <= cfg.draws:
+            raise DegenerateDistributionError(
+                f"input {z!r}: only {alive['resnet'].size} resnet and "
+                f"{alive['sde'].size} sde draws of {cfg.draws} did not "
+                f"diverge; the comparison needs at least 10 on each side")
+        stat, thr = ks_two_sample(alive["resnet"], alive["sde"])
+        lo = min(v.min() for v in alive.values())
+        hi = max(v.max() for v in alive.values())
         grid = np.linspace(lo, hi, 256) if hi > lo else np.array([lo])
         row = [z, stat, thr]
         for name, b in samplers.items():
-            v = values[name]
-            draw_rows.extend((name, z, d, v[d]) for d in range(v.size))
+            draw_rows.extend((name, z, d, x)
+                             for d, x in enumerate(b.xT[:, k, 0]))
+            v = alive[name]
             if v.std(ddof=1) > 0 and grid.size > 1:
                 k1 = kde1d(v, grid)
                 kde_rows.extend((name, z, g, dens)
@@ -600,33 +540,30 @@ def run_corr_heatmap(cfg: ExperimentConfig) -> dict:
 
 
 def _sgd_dataset(spec: SgdSpec, seed: int):
-    opts = dict(spec.dataset)
-    kind = opts.get("kind", "toy_blobs")
-    if kind == "toy_blobs":
-        n = opts.get("n", 10000)
-        test_n = opts.get("test_n", 2000)
-        full = toy_blobs(n + test_n, opts.get("features", 16),
-                         opts.get("classes", 10), seed=seed)
+    given = dict(spec.dataset)
+    opts = {**dict(SgdSpec.dataset), **given}
+    if opts["kind"] == "toy_blobs":
+        n = opts["n"]
+        full = toy_blobs(n + opts["test_n"], opts["features"],
+                         opts["classes"], seed=seed)
         train = Dataset(full.inputs[:n], full.targets[:n], "train")
         test = Dataset(full.inputs[n:], full.targets[n:], "test")
         return train, test
-    if kind == "idx":
-        root = Path(os.environ.get(DATA_ROOT_ENV, "."))
-        try:
-            train = load_idx(root / opts["images"], root / opts["labels"])
-            test = load_idx(root / opts["test_images"],
-                            root / opts["test_labels"])
-        except KeyError as exc:
-            raise ConfigError(f"train.dataset: missing key {exc.args[0]!r} "
-                              f"for the idx dataset kind")
-        except OSError as exc:
-            raise ConfigError(f"train.dataset: {exc}")
-        n = opts.get("n", train.n)
-        train = Dataset(train.inputs[:n], train.targets[:n], "train")
-        test_n = opts.get("test_n", test.n)
-        test = Dataset(test.inputs[:test_n], test.targets[:test_n], "test")
-        return train, test
-    raise ConfigError(f"train.dataset.kind: unknown kind {kind!r}")
+    # the idx kind: the sizes default to the files' own
+    root = Path(os.environ.get(DATA_ROOT_ENV, "."))
+    try:
+        train = load_idx(root / opts["images"], root / opts["labels"])
+        test = load_idx(root / opts["test_images"], root / opts["test_labels"])
+    except KeyError as exc:
+        raise ConfigError(f"train.dataset: missing key {exc.args[0]!r} "
+                          f"for the idx dataset kind")
+    except OSError as exc:
+        raise ConfigError(f"train.dataset: {exc}")
+    n = given.get("n", train.n)
+    train = Dataset(train.inputs[:n], train.targets[:n], "train")
+    test_n = given.get("test_n", test.n)
+    test = Dataset(test.inputs[:test_n], test.targets[:test_n], "test")
+    return train, test
 
 
 def run_sgd(cfg: ExperimentConfig) -> dict:
@@ -667,7 +604,7 @@ def run_sgd(cfg: ExperimentConfig) -> dict:
 
 
 def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
-                 n_draws: int, eoc_sigma_b2: float = 0.05,
+                 n_draws: int, eoc_sigma_b2: float = AbcSpec.eoc_sigma_b2,
                  select: dict | None = None,
                  z_grid: np.ndarray | None = None) -> np.ndarray:
     """First-coordinate outputs x_{T,1}(z), z = W_I z, at ``z_values`` for

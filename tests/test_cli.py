@@ -1,7 +1,9 @@
+import csv
 import dataclasses
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +13,17 @@ from hypothesis import strategies as st
 
 from depthflow import (ExperimentConfig, apply_overrides, load_config,
                        parse_config, run_experiment, save_config)
+from depthflow import experiments
 from depthflow.cli import entry, main
 from depthflow.errors import ConfigError
-from depthflow.experiments import (DATASET_KEYS, EXPERIMENT_KINDS,
-                                   MODEL_KINDS, AbcSpec, ModelSpec, SgdSpec,
-                                   fmt, read_svg_matrix, svg_heatmap,
-                                   write_csv)
+from depthflow.experiments import (CHOICES, DATASET_KEYS, EXPERIMENT_KINDS,
+                                   LEAST, MODEL_KINDS, AbcSpec, InputGrid,
+                                   ModelSpec, SgdSpec, fmt, read_svg_matrix,
+                                   svg_heatmap, write_csv)
+from depthflow.stats import ks_two_sample
+
+CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = sorted(CONFIGS_DIR.glob("*.yaml"))
 
 
 def tiny_overrides(kind, out, **extra):
@@ -140,6 +147,12 @@ class TestConfigParsing:
         save_config(first, path)
         assert load_config(path) == first
 
+    @pytest.mark.parametrize("path", SHIPPED, ids=[p.stem for p in SHIPPED])
+    def test_round_trip_identity_of_shipped_config(self, tmp_path, path):
+        first = load_config(path)
+        save_config(first, tmp_path / "rt.yaml")
+        assert load_config(tmp_path / "rt.yaml") == first
+
     def test_scale_override_resets_sizes(self):
         cfg = parse_config({"experiment": "sanity_check"})
         desk = apply_overrides(cfg, scale="desk")
@@ -148,6 +161,66 @@ class TestConfigParsing:
         assert (paper.model.depth, paper.model.width) == (500, 500)
         with pytest.raises(ConfigError, match="scale"):
             apply_overrides(cfg, scale="huge")
+
+
+def spec_defaults(cls=ExperimentConfig, path=""):
+    """Default of every config key, by dotted key path, from the specs."""
+    out = {}
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        loc = f"{path}.{key}" if path else key
+        out[loc] = f.default
+        if dataclasses.is_dataclass(f.default):
+            out.update(spec_defaults(type(f.default), loc))
+    return out
+
+
+KEY_DEFAULTS = {**spec_defaults(), **spec_defaults(InputGrid, "inputs.grid"),
+                **{f"train.dataset.{key}": kind()
+                   for key, kind in DATASET_KEYS.items()}}
+
+
+def config_at(path, value):
+    """A config that parses, but for ``value`` at the dotted key ``path``."""
+    raw = {"experiment": "sgd", "abc": {"observations": [[0.0, 0.0]]}}
+    *blocks, key = path.split(".")
+    node = raw
+    for block in blocks:
+        node = node.setdefault(block, {})
+    node[key] = value
+    return raw
+
+
+def as_entry(path, value):
+    """``value`` as the key's own form: a one-entry list for a list key."""
+    return [value] if isinstance(KEY_DEFAULTS[path], tuple) else value
+
+
+def test_table_entries_name_real_keys():
+    # a typo in a table entry would silently drop its check
+    assert set(LEAST) <= set(KEY_DEFAULTS)
+    assert set(CHOICES) <= set(KEY_DEFAULTS)
+
+
+@pytest.mark.parametrize("path", sorted(LEAST))
+def test_least_bound_enforced(path):
+    bound = LEAST[path]
+    default = KEY_DEFAULTS[path]
+    entry = default[0] if isinstance(default, tuple) else default
+    below = (bound - 1 if isinstance(entry, int)
+             else math.nextafter(bound, -math.inf))
+    parse_config(config_at(path, as_entry(path, bound)))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: must be >= "):
+        parse_config(config_at(path, as_entry(path, below)))
+
+
+@pytest.mark.parametrize("path", sorted(CHOICES))
+def test_choices_enforced(path):
+    for choice in CHOICES[path]:
+        parse_config(config_at(path, as_entry(path, choice)))
+    with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: expected "
+                                          r"one of"):
+        parse_config(config_at(path, as_entry(path, "no-such-choice")))
 
 
 # the words a config's string values are checked against
@@ -474,6 +547,60 @@ class TestCliEntry:
         # 2 time points
         assert need and int(need.group(1)) >= 200 * 2 * 2 * 8
         assert not (tmp_path / "o").exists()
+
+    def test_sanity_check_with_every_draw_diverged_fails(self, tmp_path,
+                                                          capsys):
+        # swish's drift grows quadratically: at these variances every draw
+        # of both samplers passes HARD_CAP and is frozen
+        raw = tiny_overrides("sanity_check", tmp_path / "o")
+        raw["model"].update(activation="swish", sigma_w2=1e6, sigma_b2=1e6,
+                            horizon=100.0)
+        code = main(["sanity_check", "--config",
+                     str(write_config(tmp_path, raw))])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith(
+            "input 0.0: only 0 resnet and 0 sde draws of 200 did not "
+            "diverge")
+        assert not (tmp_path / "o").exists()
+
+    def test_sanity_check_statistics_skip_diverged_draws(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        # at input 1.0, some SDE draws diverge and the rest do not
+        batches = {}
+        for name in ("resnet_forward", "simulate_paths"):
+            def spy(*args, _name=name, _fn=getattr(experiments, name)):
+                batches[_name] = _fn(*args)
+                return batches[_name]
+            monkeypatch.setattr(experiments, name, spy)
+        raw = tiny_overrides("sanity_check", tmp_path / "o")
+        raw["model"].update(activation="swish", sigma_w2=2.0, sigma_b2=2.0,
+                            horizon=3.0)
+        code = main(["sanity_check", "--config",
+                     str(write_config(tmp_path, raw))])
+        assert code == 0
+        out = tmp_path / "o"
+        with open(out / "summary.csv") as f:
+            summary = {float(row["input"]): row for row in csv.DictReader(f)}
+        draws = (out / "draws.csv").read_text().splitlines()
+        assert len(draws) == 1 + 2 * 2 * 200
+        diverged = batches["simulate_paths"].diverged[:, 1]
+        assert 0 < diverged.sum() < 190
+        for k, z in enumerate((0.0, 1.0)):
+            alive = {}
+            for name, sampler in (("resnet", "resnet_forward"),
+                                  ("sde", "simulate_paths")):
+                batch = batches[sampler]
+                alive[name] = batch.xT[~batch.diverged[:, k], k, 0]
+                row = summary[z]
+                assert int(row[f"explosive_{name}"]) == \
+                    batch.diverged[:, k].sum()
+                assert float(row[f"mean_{name}"]) == alive[name].mean()
+                assert float(row[f"var_{name}"]) == alive[name].var(ddof=1)
+            stat, _ = ks_two_sample(alive["resnet"], alive["sde"])
+            assert float(summary[z]["ks_stat"]) == stat
 
     def test_bad_train_depths_report_config_error(self, tmp_path, capsys):
         raw = tiny_overrides("sgd", tmp_path / "o",
