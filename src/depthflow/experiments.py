@@ -23,8 +23,9 @@ from .activations import get_activation
 from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DegenerateDistributionError
 from .laws import FullyIidLaw, scale_eps
-from .resnet import (DRAW_CHUNK, FeedforwardConfig, _propagate, _stream_draw,
-                     eoc_solve, feedforward_forward, resnet_forward)
+from .resnet import (DRAW_CHUNK, FeedforwardConfig, _batched_psd_factor,
+                     _memory_limit, _propagate, _stream_draw, eoc_solve,
+                     feedforward_forward, resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
 from .train import Dataset, TrainConfig, load_idx, sgd_run, toy_blobs
@@ -52,8 +53,11 @@ class ModelSpec:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ConfigError(f"model.horizon: must be > 0, got {self.horizon}")
-        get_activation(self.activation)
-        get_activation(self.inner)
+        for key in ("activation", "inner"):
+            try:
+                get_activation(getattr(self, key))
+            except ConfigError as exc:
+                raise ConfigError(f"model.{key}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -210,6 +214,12 @@ def _parse_inputs(raw, loc: str) -> tuple:
         if not 0 < span < math.inf:
             raise ConfigError(f"{loc}.grid: stop - start must be finite and "
                               f"> 0, got {span}")
+        # refused before numpy tries to allocate it
+        limit = _memory_limit()
+        if limit is not None and 8 * grid.points > limit:
+            raise ConfigError(f"{loc}.grid.points: {grid.points} inputs need "
+                              f"{8 * grid.points} bytes, more than the "
+                              f"{limit} bytes of physical memory")
         return tuple(np.linspace(grid.start, grid.stop, grid.points).tolist())
     raise ConfigError(f"{loc}: expected a 'values' list or a 'grid' block")
 
@@ -421,7 +431,9 @@ def embed_inputs(z_values, width: int) -> np.ndarray:
 
 
 def _first_coordinate(cfg: ExperimentConfig, seed: SeedSpec):
-    """Propagate all scalar inputs jointly; return (draws x inputs, diverged)."""
+    """Propagate all scalar inputs jointly; return the (draws x inputs)
+    outputs of every draw, and of the draws that never diverged: the only
+    ones the statistics read. Fewer than 2 of those end the run."""
     x0 = embed_inputs(cfg.inputs, cfg.model.width)
     if cfg.model.kind == "eoc":
         batch = feedforward_forward(build_feedforward(cfg.model), x0,
@@ -429,7 +441,13 @@ def _first_coordinate(cfg: ExperimentConfig, seed: SeedSpec):
     else:
         batch = resnet_forward(build_model(cfg.model), x0, cfg.draws, seed,
                                coords=[0])
-    return batch.xT[:, :, 0], batch.diverged
+    values = batch.xT[:, :, 0]
+    kept = values[~batch.diverged.any(axis=1)]
+    if len(kept) < 2:
+        raise DegenerateDistributionError(
+            f"only {len(kept)} of {cfg.draws} draws did not diverge at any "
+            f"input; the statistics need at least 2")
+    return values, kept
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +518,7 @@ def run_sanity_check(cfg: ExperimentConfig) -> dict:
 
 def run_function_space(cfg: ExperimentConfig) -> dict:
     """Sampled input-to-output functions on a grid, with quantile bands."""
-    values, _ = _first_coordinate(cfg, SeedSpec(cfg.seed, "funcspace"))
+    values, kept = _first_coordinate(cfg, SeedSpec(cfg.seed, "funcspace"))
     z = np.asarray(cfg.inputs)
     out = Path(cfg.out)
 
@@ -509,14 +527,14 @@ def run_function_space(cfg: ExperimentConfig) -> dict:
                  for d in range(n_funcs) for k in range(z.size)]
     write_csv(out / "functions.csv", ["draw", "z", "value"], func_rows)
 
-    s = summarize(values, levels=(0.05, 0.5, 0.95))
+    s = summarize(kept, levels=(0.05, 0.5, 0.95))
     q_rows = [(z[k], s.quantiles[0.05][k], s.quantiles[0.5][k],
                s.quantiles[0.95][k]) for k in range(z.size)]
     write_csv(out / "quantiles.csv", ["z", "q05", "q50", "q95"], q_rows)
 
-    within = float(values.std(axis=1, ddof=1).mean()) if z.size > 1 else 0.0
+    within = float(kept.std(axis=1, ddof=1).mean()) if z.size > 1 else 0.0
     center = int(np.argmin(np.abs(z)))
-    across = float(values[:, center].std(ddof=1))
+    across = float(kept[:, center].std(ddof=1))
     ratio = within / across if across > 0 else float("inf")
     write_csv(out / "summary.csv",
               ["within_draw_sd", "across_draw_sd", "ratio"],
@@ -527,8 +545,8 @@ def run_function_space(cfg: ExperimentConfig) -> dict:
 
 def run_corr_heatmap(cfg: ExperimentConfig) -> dict:
     """Correlation of first-coordinate outputs over all pairs of inputs."""
-    values, _ = _first_coordinate(cfg, SeedSpec(cfg.seed, "corr"))
-    corr = corr_over_inputs(values)
+    _, kept = _first_coordinate(cfg, SeedSpec(cfg.seed, "corr"))
+    corr = corr_over_inputs(kept)
     z = np.asarray(cfg.inputs)
     out = Path(cfg.out)
     rows = [(z[i], z[j], corr[i, j])
@@ -570,20 +588,15 @@ def run_sgd(cfg: ExperimentConfig) -> dict:
     """Training traces over a (depth, width, gradient-mode) grid."""
     spec = cfg.sgd
     train, test = _sgd_dataset(spec, cfg.seed)
-    phi = get_activation(cfg.model.activation)
-    psi = get_activation(cfg.model.inner)
     out = Path(cfg.out)
     summary_rows = []
     cells = {}
     for mode in spec.modes:
         for depth in spec.depths:
             for width in spec.widths:
-                law = FullyIidLaw(sigma_w=float(np.sqrt(spec.sigma_w2)),
-                                  sigma_b=float(np.sqrt(spec.sigma_b2)),
-                                  dim=width)
-                model = ModelConfig(depth=depth, width=width,
-                                    horizon=cfg.model.horizon, phi=phi,
-                                    psi=psi, law=law)
+                model = build_model(dataclasses.replace(
+                    cfg.model, kind="diffusion", depth=depth, width=width,
+                    sigma_w2=spec.sigma_w2, sigma_b2=spec.sigma_b2))
                 tc = TrainConfig(mode=mode, learning_rate=spec.learning_rate,
                                  batch_size=spec.batch_size,
                                  epochs=spec.epochs, model=model,
@@ -657,12 +670,11 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         sW, sb, E = eps
         px = psi(x)
         h = np.empty_like(x)
-        obs = np.swapaxes(px[:, :n_obs], -1, -2)
         if E is None:
-            R = np.linalg.qr(obs, mode="r")
+            R = _batched_psd_factor(px[:, :n_obs])
         else:
-            # the same R, bit for bit, as the "r" mode of pass 1
-            Q, R = np.linalg.qr(obs)
+            # the same R, bit for bit, as pass 1's _batched_psd_factor
+            Q, R = np.linalg.qr(np.swapaxes(px[:, :n_obs], -1, -2))
             W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
             np.matmul(px[:, n_obs:], np.swapaxes(W, -1, -2),
                       out=h[:, n_obs:])

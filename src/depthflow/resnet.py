@@ -171,19 +171,12 @@ def _layer_increment(law, eps, px: np.ndarray, mode: str,
     return h
 
 
-def choose_sampler(law, n_inputs: int, width: int, noise: str = "auto") -> str:
+def choose_sampler(law, n_inputs: int, width: int) -> str:
     """Pick the noise sampler of :func:`_layer_increment` for N inputs at
-    width D.
-
-    ``"auto"`` takes ``"projected"`` for the fully i.i.d. law when
-    2N <= D and ``"materialized"`` otherwise; ``noise="materialized"`` is
-    the one override. Per step the two cost the same near N = 0.7 D at
-    D = 64 (chunk 256) and N = 0.55 D at D = 500 (chunk 32).
+    width D: ``"projected"`` for the fully i.i.d. law when 2N <= D, and
+    ``"materialized"`` otherwise. Per step the two cost the same near
+    N = 0.7 D at D = 64 (chunk 256) and N = 0.55 D at D = 500 (chunk 32).
     """
-    if noise == "materialized":
-        return noise
-    if noise != "auto":
-        raise ConfigError(f"unknown noise mode {noise!r}")
     return ("projected" if isinstance(law, FullyIidLaw)
             and 2 * n_inputs <= width else "materialized")
 
@@ -370,19 +363,15 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
 
 def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    seed: SeedSpec, store_stride: int | None = None,
-                   noise: str = "auto",
                    coords: list | None = None) -> PathBatch:
     """Propagate N inputs jointly through the residual recursion.
 
     Each layer maps x to x + phi(h), h the layer increment of
     :func:`_layer_increment`. Within a draw one shared parameter sequence
     drives all inputs, which is what couples their trajectories.
-    ``noise="auto"`` lets :func:`choose_sampler` pick the draw: projected
-    (D x min(N, D) normals per layer) for the fully i.i.d. law when
-    2N <= D, where it is the cheaper one, and the full D x D weight noise
-    otherwise; ``noise="materialized"`` forces the latter. Both give the
-    same trajectory law from different random streams. Draws that go
-    non-finite or whose norm passes ``HARD_CAP`` are flagged and frozen.
+    :func:`choose_sampler` picks the draw, projected or materialized; both
+    give the same trajectory law from different random streams. Draws that
+    go non-finite or whose norm passes ``HARD_CAP`` are flagged and frozen.
     Only the coordinates ``coords`` are stored, or all of them.
     """
     x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
@@ -391,7 +380,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
         raise ConfigError(f"x0 rows have length {D}, model width is {config.width}")
     law, dt = config.law, config.dt
     phi, psi = config.phi, config.psi
-    mode = choose_sampler(law, N, D, noise)
+    mode = choose_sampler(law, N, D)
 
     def step(x, eps, l):
         y = phi(_layer_increment(law, eps, psi(x), mode, dt))
@@ -404,7 +393,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
-                        n_draws: int, seed: SeedSpec, noise: str = "auto",
+                        n_draws: int, seed: SeedSpec,
                         coords: list | None = None) -> PathBatch:
     """Propagate inputs through the i.i.d. feedforward baseline.
 
@@ -415,7 +404,7 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     stored final state is the last layer's pre-activation (the quantity
     whose depth-correlation structure the critical initialization
     preserves); only the input and that final layer are stored, at times
-    0 and depth. ``noise`` and ``coords`` as in :func:`resnet_forward`. A
+    0 and depth. The sampler and ``coords`` as in :func:`resnet_forward`. A
     draw is flagged when its pre-activation goes non-finite or its norm
     passes ``HARD_CAP``, as in the residual and SDE samplers, and then
     stores its last accepted one. So a net far off the critical point,
@@ -428,7 +417,7 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     phi = cfg.activation
     law = FullyIidLaw(sigma_w=np.sqrt(cfg.sigma_w2),
                       sigma_b=np.sqrt(cfg.sigma_b2), dim=D)
-    mode = choose_sampler(law, N, D, noise)
+    mode = choose_sampler(law, N, D)
 
     def step(h, eps, l):
         return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)

@@ -8,9 +8,8 @@ increment h = dW psi(x) + db (:func:`depthflow.resnet._layer_increment`),
 one draw per step shared by all inputs, which reproduces both the marginal
 law of each trajectory and the cross-covariation between trajectories of
 different inputs. The drift's mean term rides in h, and only the Ito term
-0.5 phi''(0) diag V(x) dt is added. The increment's sampler is the
-residual network's (:func:`depthflow.resnet.choose_sampler`);
-``noise="materialized"`` is the one override.
+0.5 phi''(0) diag V(x) dt is added. The increment's sampler is the one
+:func:`depthflow.resnet.choose_sampler` picks for the residual network.
 """
 
 from __future__ import annotations
@@ -120,17 +119,15 @@ def _batched_drift(coeffs: SdeCoefficients,
 
 def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
                    T: float, n_draws: int, seed: SeedSpec,
-                   store_stride: int | None = None,
-                   noise: str = "auto") -> PathBatch:
+                   store_stride: int | None = None) -> PathBatch:
     """Coupled Euler-Maruyama simulation over L steps of size T/L.
 
     Each step is the residual step x + phi(h) to second order,
     x + phi'(0) h + 0.5 phi''(0) diag V(x) dt, driven by the same layer
     increment h (:func:`depthflow.resnet._layer_increment`), so the mean
-    term of the drift rides in h. ``noise`` as in
-    :func:`depthflow.resnet.resnet_forward`. Diverged trajectories
-    (non-finite or with norm above :data:`depthflow.resnet.HARD_CAP`) are
-    flagged and frozen.
+    term of the drift rides in h. Diverged trajectories (non-finite or
+    with norm above :data:`depthflow.resnet.HARD_CAP`) are flagged and
+    frozen.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -142,7 +139,7 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
     if D != law.dim:
         raise ConfigError(f"x0 rows have length {D}, law dimension is {law.dim}")
     dt = T / L
-    mode = choose_sampler(law, N, D, noise)
+    mode = choose_sampler(law, N, D)
 
     def step(x, eps, l):
         px = coeffs.psi(x)

@@ -156,10 +156,15 @@ def test_criterion_04_martingale_conservation():
 def test_criterion_05_quadratic_covariation():
     L, D, n_draws = 10_000, 8, 100
     law = FullyIidLaw(1.0, 1.0, dim=D)
-    coeffs = SdeCoefficients(law=law, phi=TANH, psi=IDENTITY)
+    # the same law as a matrix-normal one, which the sampler rule draws
+    # materialized (2N <= D would project the i.i.d. law)
+    twin = MatrixNormalLaw(muW=np.zeros((D, D)), mub=np.zeros(D),
+                           sigmaWO=law.sigma_w / np.sqrt(D) * np.eye(D),
+                           sigmaWI=np.eye(D), sigmab=law.sigma_b * np.eye(D))
+    coeffs = SdeCoefficients(law=twin, phi=TANH, psi=IDENTITY)
     x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
     batch = simulate_paths(coeffs, x0, L, 1.0, n_draws, SeedSpec(5, "acc5"),
-                           store_stride=1, noise="materialized")
+                           store_stride=1)
     dt = 1.0 / L
     paths = batch.states  # (draws, 2, L+1, D)
     stacked = np.concatenate([paths[:, 0], paths[:, 1]], axis=-1)

@@ -20,7 +20,7 @@ from depthflow.experiments import (CHOICES, DATASET_KEYS, EXPERIMENT_KINDS,
                                    LEAST, MODEL_KINDS, AbcSpec, InputGrid,
                                    ModelSpec, SgdSpec, fmt, read_svg_matrix,
                                    svg_heatmap, write_csv)
-from depthflow.stats import ks_two_sample
+from depthflow.stats import corr_over_inputs, ks_two_sample
 
 CONFIGS_DIR = Path(__file__).resolve().parents[1] / "configs"
 SHIPPED = sorted(CONFIGS_DIR.glob("*.yaml"))
@@ -132,6 +132,22 @@ class TestConfigParsing:
                             "inputs": {"grid": {"start": 0.0, "stop": 1.0,
                                                 "points": 5}}})
         assert cfg.inputs == (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    def test_grid_larger_than_memory_refused(self, monkeypatch):
+        with pytest.raises(ConfigError, match=r"^inputs\.grid\.points: "):
+            parse_config({"experiment": "corr_heatmap",
+                          "inputs": {"grid": {"points": 10_000_000_000_000}}})
+        # a 1000-byte machine holds 125 float64 inputs, not 126
+        monkeypatch.setattr("depthflow.experiments._memory_limit",
+                            lambda: 1000)
+        grid = {"start": 0.0, "stop": 1.0}
+        cfg = parse_config({"experiment": "corr_heatmap",
+                            "inputs": {"grid": {**grid, "points": 125}}})
+        assert len(cfg.inputs) == 125
+        with pytest.raises(ConfigError, match=r"^inputs\.grid\.points: "
+                                              r"126 inputs need 1008 bytes"):
+            parse_config({"experiment": "corr_heatmap",
+                          "inputs": {"grid": {**grid, "points": 126}}})
 
     def test_abc_keep_exceeds_draws(self):
         with pytest.raises(ConfigError, match="keep"):
@@ -477,6 +493,10 @@ class TestCliEntry:
                      id="eoc-sigma-negative"),
         pytest.param({"functions": -5}, {}, "functions",
                      id="functions-negative"),
+        pytest.param({"model": {"activation": "elu"}}, {}, "model.activation",
+                     id="activation-elu"),
+        pytest.param({"model": {"inner": "elu"}}, {}, "model.inner",
+                     id="inner-elu"),
     ] + [pytest.param(case.values[0], {}, case.values[1],
                       id=f"non-finite-{case.id}") for case in NON_FINITE])
     def test_bad_values_leave_no_directory(self, tmp_path, capsys, top, abc,
@@ -601,6 +621,69 @@ class TestCliEntry:
                 assert float(row[f"var_{name}"]) == alive[name].var(ddof=1)
             stat, _ = ks_two_sample(alive["resnet"], alive["sde"])
             assert float(summary[z]["ks_stat"]) == stat
+
+    @staticmethod
+    def swish_config(kind, out, sigma2):
+        # swish at sigma^2 = 50: every draw passes HARD_CAP at some input;
+        # at 20, a few do
+        raw = tiny_overrides(kind, out, inputs={"values": [-1.0, 0.0, 1.0]},
+                             draws=400, functions=400)
+        raw["model"].update(activation="swish", sigma_w2=sigma2,
+                            sigma_b2=sigma2, horizon=3.0, depth=16, width=16)
+        return raw
+
+    @pytest.mark.parametrize("kind", ["function_space", "corr_heatmap"])
+    def test_every_draw_diverged_fails(self, tmp_path, capsys, kind):
+        raw = self.swish_config(kind, tmp_path / "o", 50.0)
+        code = entry([kind, "--config", str(write_config(tmp_path, raw))])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numerical"
+        assert err["message"].startswith(
+            "only 0 of 400 draws did not diverge at any input")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["function_space", "corr_heatmap"])
+    def test_statistics_skip_diverged_draws(self, tmp_path, capsys,
+                                            monkeypatch, kind):
+        batches = []
+
+        def spy(*args, _fn=experiments.resnet_forward, **kwargs):
+            batches.append(_fn(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(experiments, "resnet_forward", spy)
+        raw = self.swish_config(kind, tmp_path / "o", 20.0)
+        code = main([kind, "--config", str(write_config(tmp_path, raw))])
+        assert code == 0
+        values = batches[0].xT[:, :, 0]
+        alive = ~batches[0].diverged.any(axis=1)
+        assert 0 < (~alive).sum() < 20
+        kept = values[alive]
+        out = tmp_path / "o"
+
+        def rows(name):
+            with open(out / name) as f:
+                return list(csv.DictReader(f))
+
+        if kind == "corr_heatmap":
+            got = np.array([float(r["rho"]) for r in rows("corr.csv")])
+            got = got.reshape(3, 3)
+            assert np.array_equal(got, corr_over_inputs(kept))
+            assert np.array_equal(read_svg_matrix(out / "heatmap.svg")[0],
+                                  got)
+            return
+        # every draw is written, diverged or not
+        got = np.array([float(r["value"]) for r in rows("functions.csv")])
+        assert np.array_equal(got.reshape(400, 3), values)
+        quantiles = rows("quantiles.csv")
+        for level, col in ((0.05, "q05"), (0.5, "q50"), (0.95, "q95")):
+            assert np.array_equal([float(r[col]) for r in quantiles],
+                                  np.quantile(kept, level, axis=0))
+        (row,) = rows("summary.csv")
+        assert float(row["within_draw_sd"]) == \
+            kept.std(axis=1, ddof=1).mean()
+        assert float(row["across_draw_sd"]) == kept[:, 1].std(ddof=1)
 
     def test_bad_train_depths_report_config_error(self, tmp_path, capsys):
         raw = tiny_overrides("sgd", tmp_path / "o",

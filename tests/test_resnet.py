@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,16 @@ def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
                        psi=psi, law=law)
 
 
+def iid_twin(law):
+    """The fully i.i.d. law written as a matrix-normal one: the same
+    parameter law, which the sampler rule always draws materialized. Its
+    draws are the i.i.d. law's materialized draws, bit for bit."""
+    D = law.dim
+    return MatrixNormalLaw(muW=np.zeros((D, D)), mub=np.zeros(D),
+                           sigmaWO=law.sigma_w / np.sqrt(D) * np.eye(D),
+                           sigmaWI=np.eye(D), sigmab=law.sigma_b * np.eye(D))
+
+
 def one_block_step(phi, psi, W, b, x):
     """x + phi(W psi(x) + b): a depth-1, unit-horizon net whose law is
     the point mass at (W, b)."""
@@ -38,7 +49,7 @@ def one_block_step(phi, psi, W, b, x):
     model = ModelConfig(depth=1, width=b.shape[0], horizon=1.0, phi=phi,
                         psi=psi, law=law)
     batch = resnet_forward(model, np.asarray(x, dtype=float)[None, :], 1,
-                           SeedSpec(0), noise="materialized")
+                           SeedSpec(0))
     return batch.xT[0, 0]
 
 
@@ -65,9 +76,9 @@ class TestResnetForward:
         model = iid_model(5, 3, sigma_w=0.0, sigma_b=0.0)
         x0 = np.array([[0.2, -0.4, 1.0]])
         assert choose_sampler(model.law, 1, 3) == "projected"
-        for noise in ("materialized", "auto"):
-            batch = resnet_forward(model, x0, 3, SeedSpec(0), store_stride=1,
-                                   noise=noise)
+        for law in (iid_twin(model.law), model.law):
+            batch = resnet_forward(replace(model, law=law), x0, 3,
+                                   SeedSpec(0), store_stride=1)
             assert np.array_equal(batch.states,
                                   np.broadcast_to(x0[:, None],
                                                   batch.states.shape))
@@ -98,7 +109,9 @@ class TestResnetForward:
                             psi=psi, law=law)
         x0 = np.array([[0.5, -1.0, 2.0], [0.0, 0.3, -0.7]])
         seed = SeedSpec(21, "oracle")
-        batch = resnet_forward(model, x0, 7, seed, noise="materialized")
+        # 2N > D: the rule draws the full weight noise for both laws
+        assert choose_sampler(law, 2, D) == "materialized"
+        batch = resnet_forward(model, x0, 7, seed)
 
         rng = make_rng(seed.with_stream(replicate=0, layer=0))
         sW, sb = scale_eps(law, *sample_eps(law, rng, 7))
@@ -117,9 +130,10 @@ class TestResnetForward:
 
     def test_coupling_identical_inputs_bitwise(self):
         model = iid_model(10, 4)
+        model = replace(model, law=iid_twin(model.law))
         x0 = np.array([[0.5, -0.5, 1.0, 0.0], [0.5, -0.5, 1.0, 0.0]])
         batch = resnet_forward(model, x0, 8, SeedSpec(9, "couple"),
-                               noise="materialized", store_stride=1)
+                               store_stride=1)
         assert np.array_equal(batch.states[:, 0], batch.states[:, 1])
 
     def test_deterministic_given_seed(self):
@@ -167,8 +181,8 @@ class TestResnetForward:
     def test_projected_matches_materialized_in_law(self, N, D, depth):
         model = iid_model(depth, D)
         x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
-        a = resnet_forward(model, x0, 4_000, SeedSpec(23, "proj"),
-                           noise="materialized")
+        a = resnet_forward(replace(model, law=iid_twin(model.law)), x0,
+                           4_000, SeedSpec(23, "proj"))
         assert choose_sampler(model.law, N, D) == "projected"
         b = resnet_forward(model, x0, 4_000, SeedSpec(29, "projb"))
         for n in range(N):
@@ -209,13 +223,21 @@ class TestSamplerChoice:
             for n in (1, 2, 3):
                 assert choose_sampler(law, n, D) == "materialized"
 
-    def test_explicit_override_kept(self):
-        law = FullyIidLaw(1.0, 1.0, dim=64)
-        # materialized is the one override; projected is auto's to choose
-        assert choose_sampler(law, 2, 64, "materialized") == "materialized"
-        for noise in ("projected", "eigh"):
-            with pytest.raises(ConfigError):
-                choose_sampler(law, 2, 64, noise)
+    @pytest.mark.parametrize("N, D, phi", [
+        (5, 8, TANH), (3, 4, SWISH), (40, 64, TANH)],
+        ids=["5-8-tanh", "3-4-swish", "40-64-tanh"])
+    def test_iid_twin_draws_the_same_bits(self, N, D, phi):
+        # at 2N > D both laws are drawn materialized, from the same normals
+        model = iid_model(6, D, sigma_w=1.3, sigma_b=0.7, phi=phi)
+        twin = iid_twin(model.law)
+        assert choose_sampler(model.law, N, D) == "materialized"
+        x0 = np.random.default_rng(N).standard_normal((N, D))
+        a = resnet_forward(model, x0, 300, SeedSpec(31, "twin"),
+                           store_stride=1)
+        b = resnet_forward(replace(model, law=twin), x0, 300,
+                           SeedSpec(31, "twin"), store_stride=1)
+        assert np.array_equal(a.states, b.states)
+        assert np.array_equal(a.diverged, b.diverged)
 
 
 class TestProjectedFactor:
@@ -327,23 +349,28 @@ class TestPropagationKernel:
 
     @staticmethod
     def run(sampler, mode, n_draws):
-        # N = 2 inputs at D = 8: auto picks the projected draw
+        # N = 2 inputs at D = 8 take the projected draw; the i.i.d. law's
+        # matrix-normal twin, or the feedforward net at N = 5, the
+        # materialized one
         D = 8
-        noise = "auto" if mode == "projected" else mode
         x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
-        assert choose_sampler(FullyIidLaw(1.0, 1.0, D), 2, D, noise) == mode
+        law = FullyIidLaw(1.0, 1.0, D)
+        if mode == "materialized":
+            if sampler == "feedforward":
+                x0 = np.vstack([x0, np.outer([0.25, -1.0, 2.0], np.ones(D))])
+            else:
+                law = iid_twin(law)
+        assert choose_sampler(law, x0.shape[0], D) == mode
         seed = SeedSpec(43, f"prefix/{sampler}")
         if sampler == "resnet":
-            return resnet_forward(iid_model(4, D), x0, n_draws, seed,
-                                  noise=noise, store_stride=2)
+            return resnet_forward(replace(iid_model(4, D), law=law), x0,
+                                  n_draws, seed, store_stride=2)
         if sampler == "sde":
-            return simulate_paths(SdeCoefficients(FullyIidLaw(1.0, 1.0, D),
-                                                  SWISH, IDENTITY),
-                                  x0, 4, 1.0, n_draws, seed, noise=noise,
-                                  store_stride=2)
+            return simulate_paths(SdeCoefficients(law, SWISH, IDENTITY),
+                                  x0, 4, 1.0, n_draws, seed, store_stride=2)
         cfg = FeedforwardConfig(depth=4, width=D, sigma_w2=1.5, sigma_b2=0.1,
                                 activation=TANH)
-        return feedforward_forward(cfg, x0, n_draws, seed, noise=noise)
+        return feedforward_forward(cfg, x0, n_draws, seed)
 
     @pytest.mark.parametrize("mode", ["materialized", "projected"])
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
@@ -375,14 +402,14 @@ class TestPropagationKernel:
         # pre-activation, which is the output of the shallower net
         # (streams are keyed by layer) at the deepest depth where that draw
         # was still unflagged
+        # (3 inputs at D = 4 take the materialized draw)
         D, L, n = 4, 10, 200
-        x0 = np.vstack([np.full(D, 1.0), np.full(D, -0.5)])
+        x0 = np.vstack([np.full(D, 1.0), np.full(D, -0.5), np.full(D, 0.25)])
 
         def run(depth):
             cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=100.0,
                                     sigma_b2=1.0, activation=RELU)
-            return feedforward_forward(cfg, x0, n, SeedSpec(47, "ffflag"),
-                                       noise="materialized")
+            return feedforward_forward(cfg, x0, n, SeedSpec(47, "ffflag"))
 
         runs = {k: run(k) for k in range(1, L + 1)}
         deep = runs[L]
@@ -446,14 +473,20 @@ class TestNoiseLookahead:
     def run(sampler, noise, law_kind="iid"):
         # 600 draws: two whole chunks and a partial one. At these scales
         # some draws but not all pass the cap (swish, and relu at
-        # sigma_w2 = 3000), so the flags are compared too.
+        # sigma_w2 = 3000), so the flags are compared too. ``noise`` is
+        # the draw the rule must pick: "materialized" takes the i.i.d.
+        # law's matrix-normal twin, or 5 feedforward inputs at D = 8
         D, depth = 8, 4
         x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
         seed = SeedSpec(53, f"ahead/{sampler}")
         if sampler == "feedforward":
+            if noise == "materialized":
+                x0 = np.vstack([x0, np.outer([0.25, -1.0, 2.0], np.ones(D))])
             cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=3000.0,
                                     sigma_b2=1.0, activation=RELU)
-            return feedforward_forward(cfg, x0, 600, seed, noise=noise)
+            assert (choose_sampler(FullyIidLaw(1.0, 1.0, D), x0.shape[0], D)
+                    == ("projected" if noise == "auto" else noise))
+            return feedforward_forward(cfg, x0, 600, seed)
         scale, horizon = (4.0, 2.0) if sampler == "sde" else (16.0, 16.0)
         if law_kind == "iid":
             law = FullyIidLaw(sigma_w=scale, sigma_b=scale, dim=D)
@@ -463,14 +496,14 @@ class TestNoiseLookahead:
                                   mub=rng.standard_normal(D),
                                   sigmaWO=scale / 2 * np.eye(D) + 0.2,
                                   sigmaWI=np.eye(D), sigmab=np.eye(D))
+        if noise == "materialized":
+            law = iid_twin(law)
         if sampler == "sde":
             return simulate_paths(SdeCoefficients(law, SWISH, IDENTITY), x0,
-                                  depth, horizon, 600, seed, store_stride=1,
-                                  noise=noise)
+                                  depth, horizon, 600, seed, store_stride=1)
         model = ModelConfig(depth=depth, width=D, horizon=horizon, phi=SWISH,
                             psi=IDENTITY, law=law)
-        return resnet_forward(model, x0, 600, seed, store_stride=1,
-                              noise=noise)
+        return resnet_forward(model, x0, 600, seed, store_stride=1)
 
     @pytest.mark.parametrize("sampler, noise, law_kind", [
         ("resnet", "auto", "iid"), ("resnet", "materialized", "iid"),

@@ -42,6 +42,17 @@ def iid_coeffs(D, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY):
                            phi=phi, psi=psi)
 
 
+def twin_coeffs(coeffs):
+    """``coeffs`` with its fully i.i.d. law written as a matrix-normal one:
+    the same parameter law, which the sampler rule always draws
+    materialized, from the i.i.d. law's materialized normals."""
+    law, D = coeffs.law, coeffs.law.dim
+    twin = MatrixNormalLaw(muW=np.zeros((D, D)), mub=np.zeros(D),
+                           sigmaWO=law.sigma_w / np.sqrt(D) * np.eye(D),
+                           sigmaWI=np.eye(D), sigmab=law.sigma_b * np.eye(D))
+    return SdeCoefficients(law=twin, phi=coeffs.phi, psi=coeffs.psi)
+
+
 def random_general_law(seed, D=2, with_mean=True):
     rng = np.random.default_rng(seed)
     BW = rng.standard_normal((D * D, D * D)) / np.sqrt(D)
@@ -192,8 +203,8 @@ class TestSteppers:
         coeffs = iid_coeffs(4)
         x0 = np.array([0.5, -0.5, 1.0, 0.0])
         n = 10_000
-        batch = simulate_paths(coeffs, x0[None, :], 1, 0.01, n,
-                               SeedSpec(7, "marg"), noise="materialized")
+        batch = simulate_paths(twin_coeffs(coeffs), x0[None, :], 1, 0.01, n,
+                               SeedSpec(7, "marg"))
         coupled = batch.xT[:, 0, 0]
         rng = make_rng(SeedSpec(8, "margd"))
         zeta = rng.standard_normal((n, 4))
@@ -253,8 +264,8 @@ class TestSimulatePaths:
     def test_projected_matches_materialized_in_law(self, N, D, L):
         coeffs = iid_coeffs(D)
         x0 = np.repeat(np.linspace(0.0, 1.0, N)[:, None], D, axis=1)
-        a = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(15, "pm"),
-                           noise="materialized")
+        a = simulate_paths(twin_coeffs(coeffs), x0, L, 1.0, 4_000,
+                           SeedSpec(15, "pm"))
         assert choose_sampler(coeffs.law, N, D) == "projected"
         b = simulate_paths(coeffs, x0, L, 1.0, 4_000, SeedSpec(16, "pm2"))
         for n in range(N):
@@ -271,9 +282,8 @@ class TestQuadraticCovariation:
         coeffs = iid_coeffs(8)
         L, n_draws = 4_000, 30
         x0 = np.vstack([np.full(8, -0.5), np.full(8, 1.0)])
-        batch = simulate_paths(coeffs, x0, L, 1.0, n_draws,
-                               SeedSpec(17, "qc"), store_stride=1,
-                               noise="materialized")
+        batch = simulate_paths(twin_coeffs(coeffs), x0, L, 1.0, n_draws,
+                               SeedSpec(17, "qc"), store_stride=1)
         dt = 1.0 / L
         realized = np.zeros((8, 8))
         model = np.zeros((8, 8))
