@@ -214,11 +214,13 @@ def _parse_inputs(raw, loc: str) -> tuple:
         if not 0 < span < math.inf:
             raise ConfigError(f"{loc}.grid: stop - start must be finite and "
                               f"> 0, got {span}")
-        # refused before numpy tries to allocate it
-        limit = _memory_limit()
-        if limit is not None and 8 * grid.points > limit:
+        # refused before numpy tries to allocate it. At its peak the parse
+        # holds 40 bytes per input: a Python float (24) and a pointer to it
+        # in both the list and the tuple (8 each)
+        need, limit = 40 * grid.points, _memory_limit()
+        if limit is not None and need > limit:
             raise ConfigError(f"{loc}.grid.points: {grid.points} inputs need "
-                              f"{8 * grid.points} bytes, more than the "
+                              f"{need} bytes, more than the "
                               f"{limit} bytes of physical memory")
         return tuple(np.linspace(grid.start, grid.stop, grid.points).tolist())
     raise ConfigError(f"{loc}: expected a 'values' list or a 'grid' block")
@@ -625,8 +627,9 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     index -> within-chunk draw indexes).
 
     Kept draws replay their rows at ``z_values`` bit for bit; their
-    weights are completed for the grid rows as W = Z Q^T + E (I - Q Q^T),
-    with psi(X)^T = Q R at ``z_values`` and E a per-draw D x D normal. For
+    weights are completed for the grid rows as W = Z^T Q^T + E (I - Q Q^T),
+    with Z the draw's rows-first K x D projected noise, psi(X)^T = Q R at
+    ``z_values`` and E a per-draw D x D normal. For
     i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
     its law given the outputs at ``z_values``.
     """
@@ -675,11 +678,11 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         else:
             # the same R, bit for bit, as pass 1's _batched_psd_factor
             Q, R = np.linalg.qr(np.swapaxes(px[:, :n_obs], -1, -2))
-            W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
+            W = E + (np.swapaxes(sW, -1, -2) - E @ Q) @ np.swapaxes(Q, -1, -2)
             np.matmul(px[:, n_obs:], np.swapaxes(W, -1, -2),
                       out=h[:, n_obs:])
             h[:, n_obs:] += sb[:, None, :]
-        np.add(np.swapaxes(sW @ R, -1, -2), sb[:, None, :], out=h[:, :n_obs])
+        np.add(np.swapaxes(R, -1, -2) @ sW, sb[:, None, :], out=h[:, :n_obs])
         # h is a temporary, so the residual sum may reuse it in place
         y = phi(h)
         if spec.kind == "diffusion":

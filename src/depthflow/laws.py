@@ -210,37 +210,36 @@ def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
                cols: int | None = None):
     """Draw ``n`` independent (epsW, epsb) noise pairs for one layer stream.
 
-    Shapes: epsW (n, D, D), epsb (n, D). For the general and matrix-normal
-    laws the returned noises already carry their configured covariance; for
-    the fully i.i.d. law they are standard normal, and ``cols`` asks for
-    the projected sampler's noise instead: epsW (n, D, cols) and epsb, read
-    from one (n, D, cols + 1) draw whose last column is the bias.
+    Every law reads one block of normals, draw by draw, so the first m
+    pairs of a call do not depend on ``n``. Shapes: epsW (n, D, D), epsb
+    (n, D). For the general and matrix-normal laws the returned noises
+    already carry their configured covariance; for the fully i.i.d. law
+    they are standard normal. The i.i.d. and matrix-normal laws read the
+    same (n, D, D + 1) block, whose last column is the bias, so an i.i.d.
+    law and its matrix-normal twin draw the same bits. ``cols`` = K asks
+    for the projected sampler's i.i.d. noise instead: the views z[:, :K]
+    (n, K, D) and z[:, K] (n, D) of one rows-first (n, K + 1, D) block, so
+    each draw's rows are contiguous.
     """
     D = law.dim
-    if isinstance(law, FullyIidLaw):
-        if cols is not None:
-            z = rng.standard_normal((n, D, cols + 1))
-            return z[..., :cols], z[..., cols]
-        epsW = rng.standard_normal((n, D, D))
-        epsb = rng.standard_normal((n, D))
-        return epsW, epsb
     if cols is not None:
-        raise ConfigError("only the fully i.i.d. law draws projected noise")
-    if isinstance(law, MatrixNormalLaw):
-        Z = rng.standard_normal((n, D, D))
-        zb = rng.standard_normal((n, D))
-        epsW = law.sigmaWO @ Z @ law.sigmaWI
-        epsb = zb @ law.sigmab.T
-        return epsW, epsb
+        if not isinstance(law, FullyIidLaw):
+            raise ConfigError("only the i.i.d. law draws projected noise")
+        z = rng.standard_normal((n, cols + 1, D))
+        return z[:, :cols], z[:, cols]
     if isinstance(law, GeneralGaussianLaw):
-        z = rng.standard_normal((n, D * D))
-        zb = rng.standard_normal((n, D))
-        vec = z @ law.weight_factor.T
+        z = rng.standard_normal((n, D * D + D))
+        vec = z[:, :D * D] @ law.weight_factor.T
         # invert column stacking: flat index d + i*D -> entry (d, i)
         epsW = vec.reshape(n, D, D).transpose(0, 2, 1)
-        epsb = zb @ law.bias_factor.T
-        return epsW, epsb
-    raise ConfigError(f"unknown parameter law {type(law).__name__}")
+        return epsW, z[:, D * D:] @ law.bias_factor.T
+    if not isinstance(law, (FullyIidLaw, MatrixNormalLaw)):
+        raise ConfigError(f"unknown parameter law {type(law).__name__}")
+    z = rng.standard_normal((n, D, D + 1))
+    epsW, epsb = z[..., :D], z[..., D]
+    if isinstance(law, MatrixNormalLaw):
+        return law.sigmaWO @ epsW @ law.sigmaWI, epsb @ law.sigmab.T
+    return epsW, epsb
 
 
 def scale_eps(law: ParamLaw, epsW: np.ndarray, epsb: np.ndarray):

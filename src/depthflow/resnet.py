@@ -143,18 +143,13 @@ def _layer_increment(law, eps, px: np.ndarray, mode: str,
     draw, and h has the shape of ``px``. ``mode`` is
     :func:`choose_sampler`'s: ``"materialized"`` takes the full D x D
     weight noise; ``"projected"`` (fully i.i.d. law) draws h from its exact
-    Gaussian law given the states, as Z R with R =
-    :func:`_batched_psd_factor` of ``px`` and Z the D x min(N, D) normal.
+    Gaussian law given the states, as R^T Z with R =
+    :func:`_batched_psd_factor` of ``px`` and Z the min(N, D) x D normal.
     """
     sqdt = np.sqrt(dt)
     sW, sb = scale_eps(law, *eps)
     if mode == "projected":
-        R = _batched_psd_factor(px)
-        # R^T Z^T comes out in h's own C-contiguous layout, with no
-        # (chunk, D, N) temporary: the SDE step builds its next state in
-        # this buffer, and the drift's einsum over it sums in a
-        # layout-dependent order
-        h = np.swapaxes(R, -1, -2) @ np.swapaxes(sW, -1, -2)
+        h = np.swapaxes(_batched_psd_factor(px), -1, -2) @ sW
         h += sb[:, None, :]
         h *= sqdt
         return h

@@ -108,11 +108,12 @@ def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
                 E = sw * np.stack([make_rng(complement.with_stream(
                     replicate=start + int(d), layer=l)).standard_normal((D, D))
                     for d in sel])
-                W = E + (sW - E @ Q) @ np.swapaxes(Q, -1, -2)
+                W = E + (np.swapaxes(sW, -1, -2) - E @ Q) \
+                    @ np.swapaxes(Q, -1, -2)
                 hg = psi(g) @ np.swapaxes(W, -1, -2)
                 hg += sb[:, None, :]
                 g, gdiv = step(g, hg, gdiv)
-            h = np.swapaxes(sW @ R, -1, -2) + sb[:, None, :]
+            h = np.swapaxes(R, -1, -2) @ sW + sb[:, None, :]
             x, div = step(x, h, div)
         pieces.append((x if select is None else g)[:, :, 0])
     return np.concatenate(pieces, axis=0)

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,17 +138,40 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=r"^inputs\.grid\.points: "):
             parse_config({"experiment": "corr_heatmap",
                           "inputs": {"grid": {"points": 10_000_000_000_000}}})
-        # a 1000-byte machine holds 125 float64 inputs, not 126
+        # a 1000-byte machine holds the parse of 25 inputs, not 26
         monkeypatch.setattr("depthflow.experiments._memory_limit",
                             lambda: 1000)
         grid = {"start": 0.0, "stop": 1.0}
         cfg = parse_config({"experiment": "corr_heatmap",
-                            "inputs": {"grid": {**grid, "points": 125}}})
-        assert len(cfg.inputs) == 125
+                            "inputs": {"grid": {**grid, "points": 25}}})
+        assert len(cfg.inputs) == 25
         with pytest.raises(ConfigError, match=r"^inputs\.grid\.points: "
-                                              r"126 inputs need 1008 bytes"):
+                                              r"26 inputs need 1040 bytes"):
             parse_config({"experiment": "corr_heatmap",
-                          "inputs": {"grid": {**grid, "points": 126}}})
+                          "inputs": {"grid": {**grid, "points": 26}}})
+
+    def test_grid_check_covers_the_parse_peak(self, monkeypatch):
+        # the bytes the check asks of a grid are what parsing it holds at
+        # its peak, to 1%: the parsed tuple of Python floats, and the list
+        # it is copied from
+        def raw():
+            return {"experiment": "corr_heatmap",
+                    "inputs": {"grid": {"start": 0.0, "stop": 1.0,
+                                        "points": 100_000}}}
+
+        monkeypatch.setattr("depthflow.experiments._memory_limit",
+                            lambda: 1)
+        with pytest.raises(ConfigError) as info:
+            parse_config(raw())
+        need = int(re.search(r"need (\d+) bytes", str(info.value))[1])
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            parse_config(raw())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.01 * need
 
     def test_abc_keep_exceeds_draws(self):
         with pytest.raises(ConfigError, match="keep"):

@@ -67,7 +67,8 @@ class TestSampling:
         law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=6)
         epsW, epsb = sample_eps(law, make_rng(SeedSpec(12, "cols")), 4,
                                 cols=3)
-        assert epsW.shape == (4, 6, 3) and epsb.shape == (4, 6)
+        # rows first: each draw's K weight rows, then its bias row
+        assert epsW.shape == (4, 3, 6) and epsb.shape == (4, 6)
         mn = make_general_law()
         with pytest.raises(ConfigError):
             sample_eps(mn, make_rng(SeedSpec(12, "cols")), 4, cols=1)
@@ -132,6 +133,14 @@ class TestSampling:
         c = sample_eps(law, make_rng(seed.with_stream(replicate=3)), 4)
         assert not np.array_equal(a[0], c[0])
         assert not np.array_equal(a[1], c[1])
+
+    def test_stream_contract_pinned(self):
+        # make_rng seeds SFC64 with the spec's SHA-256 and every sampler
+        # reads it through standard_normal: a numpy that changes either
+        # fails here by name, not only through shifted criteria
+        z = make_rng(SeedSpec(0, "pin")).standard_normal(4)
+        assert z.tolist() == [1.1158077105472488, 1.5012524994915304,
+                              0.0606502456557607, -0.09694462778580255]
 
     def test_layers_independent_streams(self):
         law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=2)

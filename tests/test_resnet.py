@@ -376,18 +376,14 @@ class TestPropagationKernel:
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
     def test_chunk_prefix_invariance(self, sampler, mode):
         # a 600-draw run spans chunks [0, 256), [256, 512), [512, 600); its
-        # whole chunks are the same draws, bit for bit, in a shorter run.
-        # The projected draw, one (chunk, D, K + 1) block per layer, keeps
-        # a partial chunk's leading draws too; the materialized draw reads
-        # the bias normals after all chunk x D x D weight normals, so its
-        # partial chunks depend on their size.
+        # draws are the same, bit for bit, in a shorter run, a partial
+        # chunk's leading draws included: each sampler draws one block per
+        # (chunk, layer), draw by draw.
         full = self.run(sampler, mode, 600)
         for n in (300, 512):
             part = self.run(sampler, mode, n)
-            same = n if mode == "projected" else n - n % DRAW_CHUNK
-            assert same >= DRAW_CHUNK
-            assert np.array_equal(full.states[:same], part.states[:same])
-            assert np.array_equal(full.diverged[:same], part.diverged[:same])
+            assert np.array_equal(full.states[:n], part.states)
+            assert np.array_equal(full.diverged[:n], part.diverged)
             assert np.array_equal(full.times, part.times)
         # and each chunk reads its own streams
         assert not np.array_equal(full.xT[DRAW_CHUNK:DRAW_CHUNK + 10],
