@@ -49,15 +49,19 @@ def _brief(kind: str, summary: dict) -> dict:
     if kind == "sanity_check":
         return {"inputs": summary["inputs"], "ks": summary["ks"],
                 "ks_threshold": summary["threshold"]}
+    # draws_used of draws: the draws the statistics read, the ones that
+    # did not diverge at any input
     if kind == "function_space":
-        return {k: summary[k]
-                for k in ("within_draw_sd", "across_draw_sd", "ratio")}
+        return {k: summary[k] for k in ("within_draw_sd", "across_draw_sd",
+                                        "ratio", "draws_used", "draws")}
     if kind == "corr_heatmap":
         corr = summary["corr"]
         off = corr[~np.eye(corr.shape[0], dtype=bool)]
         return {"inputs": int(corr.shape[0]),
                 "min_rho": float(off.min()) if off.size else 1.0,
-                "max_rho": float(off.max()) if off.size else 1.0}
+                "max_rho": float(off.max()) if off.size else 1.0,
+                "draws_used": summary["draws_used"],
+                "draws": summary["draws"]}
     if kind == "sgd":
         cells = summary["cells"]
         return {"cells": len(cells),

@@ -332,14 +332,25 @@ def fmt(value) -> str:
     return str(value)
 
 
+# cell types the csv module writes as fmt does: str as is, int by str and
+# float by repr
+PLAIN_CELLS = frozenset((str, int, float))
+
+
 def write_csv(path, header, rows):
+    """Write ``header`` and the list ``rows`` as CSV, each cell as
+    :func:`fmt` writes it. Runners pass Python str, int and float cells,
+    which the csv module writes alike in one call; if any cell is of
+    another type (a numpy scalar, a bool), every cell goes through
+    :func:`fmt`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([fmt(v) for v in row])
+        if not PLAIN_CELLS.issuperset(type(v) for row in rows for v in row):
+            rows = [map(fmt, row) for row in rows]
+        writer.writerows(rows)
 
 
 def _heat_color(value: float) -> str:
@@ -488,13 +499,14 @@ def run_sanity_check(cfg: ExperimentConfig) -> dict:
         row = [z, stat, thr]
         for name, b in samplers.items():
             draw_rows.extend((name, z, d, x)
-                             for d, x in enumerate(b.xT[:, k, 0]))
+                             for d, x in enumerate(b.xT[:, k, 0].tolist()))
             v = alive[name]
             if v.std(ddof=1) > 0 and grid.size > 1:
                 k1 = kde1d(v, grid)
-                kde_rows.extend((name, z, g, dens)
-                                for g, dens in zip(grid, k1.density))
-            row.extend([v.mean(), v.var(ddof=1), int(b.diverged[:, k].sum())])
+                kde_rows.extend((name, z, g, dens) for g, dens in
+                                zip(grid.tolist(), k1.density.tolist()))
+            row.extend([float(v.mean()), float(v.var(ddof=1)),
+                        int(b.diverged[:, k].sum())])
         summary_rows.append(row)
         summary["inputs"].append(z)
         summary["ks"].append(stat)
@@ -507,9 +519,8 @@ def run_sanity_check(cfg: ExperimentConfig) -> dict:
     joint_header = ["sampler", "draw"] + [f"x{k}" for k in range(len(cfg.inputs))]
     joint_rows = []
     for name, b in samplers.items():
-        finals = b.xT[:, :, 0]
-        joint_rows.extend([name, d] + list(finals[d])
-                          for d in range(finals.shape[0]))
+        joint_rows.extend([name, d] + finals for d, finals in
+                          enumerate(b.xT[:, :, 0].tolist()))
     write_csv(out / "joint.csv", joint_header, joint_rows)
     write_csv(out / "summary.csv",
               ["input", "ks_stat", "ks_threshold", "mean_resnet",
@@ -525,13 +536,13 @@ def run_function_space(cfg: ExperimentConfig) -> dict:
     out = Path(cfg.out)
 
     n_funcs = min(cfg.functions, cfg.draws)
-    func_rows = [(d, z[k], values[d, k])
-                 for d in range(n_funcs) for k in range(z.size)]
+    func_rows = [(d, zk, v) for d, func in enumerate(values[:n_funcs].tolist())
+                 for zk, v in zip(cfg.inputs, func)]
     write_csv(out / "functions.csv", ["draw", "z", "value"], func_rows)
 
     s = summarize(kept, levels=(0.05, 0.5, 0.95))
-    q_rows = [(z[k], s.quantiles[0.05][k], s.quantiles[0.5][k],
-               s.quantiles[0.95][k]) for k in range(z.size)]
+    q_rows = list(zip(cfg.inputs, *(s.quantiles[lv].tolist()
+                                     for lv in (0.05, 0.5, 0.95))))
     write_csv(out / "quantiles.csv", ["z", "q05", "q50", "q95"], q_rows)
 
     within = float(kept.std(axis=1, ddof=1).mean()) if z.size > 1 else 0.0
@@ -542,7 +553,7 @@ def run_function_space(cfg: ExperimentConfig) -> dict:
               ["within_draw_sd", "across_draw_sd", "ratio"],
               [(within, across, ratio)])
     return {"within_draw_sd": within, "across_draw_sd": across,
-            "ratio": ratio}
+            "ratio": ratio, "draws_used": len(kept), "draws": cfg.draws}
 
 
 def run_corr_heatmap(cfg: ExperimentConfig) -> dict:
@@ -551,12 +562,13 @@ def run_corr_heatmap(cfg: ExperimentConfig) -> dict:
     corr = corr_over_inputs(kept)
     z = np.asarray(cfg.inputs)
     out = Path(cfg.out)
-    rows = [(z[i], z[j], corr[i, j])
-            for i in range(z.size) for j in range(z.size)]
+    rows = [(z1, z2, rho) for z1, corr_row in zip(cfg.inputs, corr.tolist())
+            for z2, rho in zip(cfg.inputs, corr_row)]
     write_csv(out / "corr.csv", ["z1", "z2", "rho"], rows)
     svg_heatmap(corr, z, out / "heatmap.svg",
                 title="output correlation over inputs")
-    return {"corr": corr, "inputs": z}
+    return {"corr": corr, "inputs": z, "draws_used": len(kept),
+            "draws": cfg.draws}
 
 
 def _sgd_dataset(spec: SgdSpec, seed: int):
@@ -609,8 +621,8 @@ def run_sgd(cfg: ExperimentConfig) -> dict:
                           list(enumerate(trace.batch_losses)))
                 summary_rows.append(
                     (mode, depth, width, trace.batch_losses[-1],
-                     trace.final_train_accuracy, trace.final_test_accuracy,
-                     int(trace.diverged)))
+                     float(trace.final_train_accuracy),
+                     float(trace.final_test_accuracy), int(trace.diverged)))
                 cells[(mode, depth, width)] = trace
     write_csv(out / "summary.csv",
               ["mode", "depth", "width", "final_loss", "train_accuracy",
@@ -618,39 +630,53 @@ def run_sgd(cfg: ExperimentConfig) -> dict:
     return {"cells": cells}
 
 
+def _abc_law(spec: ModelSpec, eoc_sigma_b2: float) -> FullyIidLaw:
+    """An ABC arm's per-layer parameter law: the diffusion prior's at
+    dt = horizon / depth, or the edge-of-chaos baseline's at bias variance
+    ``eoc_sigma_b2`` and the weight variance :func:`eoc_solve` finds."""
+    if spec.kind == "eoc":
+        phi = get_activation(spec.activation)
+        sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
+    else:
+        dt = spec.horizon / spec.depth
+        sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
+    return FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
+                       sigma_b=float(np.sqrt(sigma_b2)), dim=spec.width)
+
+
 def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
-                 n_draws: int, eoc_sigma_b2: float = AbcSpec.eoc_sigma_b2,
+                 n_draws: int, law: FullyIidLaw | None = None,
                  select: dict | None = None,
                  z_grid: np.ndarray | None = None) -> np.ndarray:
     """First-coordinate outputs x_{T,1}(z), z = W_I z, at ``z_values`` for
     every draw, or at ``z_grid`` for the draws ``select`` keeps (chunk
-    index -> within-chunk draw indexes).
+    index -> within-chunk draw indexes). ``law`` is the arm's
+    :func:`_abc_law`, by default at ``AbcSpec``'s bias variance; both
+    passes of an arm take the same one.
 
     Kept draws replay their rows at ``z_values`` bit for bit; their
     weights are completed for the grid rows as W = Z^T Q^T + E (I - Q Q^T),
     with Z the draw's rows-first K x D projected noise, psi(X)^T = Q R at
     ``z_values`` and E a per-draw D x D normal. For
     i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
-    its law given the outputs at ``z_values``.
+    its law given the outputs at ``z_values``. A chunk's noise is drawn
+    only up to its last kept draw: the draw is prefix-invariant.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
     psi = get_activation(spec.inner)
-    if spec.kind == "eoc":
-        sigma_w2, sigma_b2 = eoc_solve(phi, eoc_sigma_b2), eoc_sigma_b2
-    else:
-        dt = spec.horizon / L
-        sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
-    law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
-                      sigma_b=float(np.sqrt(sigma_b2)), dim=D)
+    if law is None:
+        law = _abc_law(spec, AbcSpec.eoc_sigma_b2)
     sw = law.sigma_w / np.sqrt(D)
     complement = seed.with_stream(experiment=seed.experiment + "/complement")
     z = np.asarray(z_values, dtype=float)
     n_obs = z.size
     picks = {rep: slice(None) for rep in range(-(-n_draws // DRAW_CHUNK))}
+    prefix = None
     if select is not None:
         picks = {rep: np.asarray(select[rep], dtype=int)
                  for rep in sorted(select)}
+        prefix = {rep: int(sel.max()) + 1 for rep, sel in picks.items()}
         z = np.concatenate([z, z_grid])
     W_I = {}
     for rep, sel in picks.items():
@@ -658,7 +684,8 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
             experiment=seed.experiment + "/input", replicate=rep))
         chunk = min(DRAW_CHUNK, n_draws - rep * DRAW_CHUNK)
         W_I[rep] = rng_in.standard_normal((chunk, D))[sel]
-    layer_noise = _stream_draw(seed, law, "projected", n_obs, n_draws)
+    layer_noise = _stream_draw(seed, law, "projected", n_obs, n_draws,
+                               prefix)
 
     def draw(c, l):
         epsW, epsb = layer_noise(c, l)
@@ -704,10 +731,10 @@ def _abc_arm(cfg: ExperimentConfig, spec: ModelSpec, arm: str) -> dict:
     # parse_config put every observation on the grid
     idx = [int(np.flatnonzero(np.abs(z - zo) <= 1e-9)[0]) for zo in obs_z]
     seed = SeedSpec(cfg.seed, f"abc/{arm}")
+    law = _abc_law(spec, abc.eoc_sigma_b2)
 
     # pass 1: outputs at the observation inputs only, for every prior draw
-    at_obs = _abc_outputs(spec, z[idx], seed, abc.prior_draws,
-                          eoc_sigma_b2=abc.eoc_sigma_b2)
+    at_obs = _abc_outputs(spec, z[idx], seed, abc.prior_draws, law=law)
     distances = np.linalg.norm(at_obs - obs_y, axis=1)
     order = np.lexsort((np.arange(abc.prior_draws), distances))
     accepted = np.sort(order[:abc.keep])
@@ -718,26 +745,25 @@ def _abc_arm(cfg: ExperimentConfig, spec: ModelSpec, arm: str) -> dict:
     select = {}
     for d in wanted:
         select.setdefault(int(d) // DRAW_CHUNK, []).append(int(d) % DRAW_CHUNK)
-    funcs = _abc_outputs(spec, z[idx], seed, abc.prior_draws,
-                         eoc_sigma_b2=abc.eoc_sigma_b2, select=select,
-                         z_grid=z)
+    funcs = _abc_outputs(spec, z[idx], seed, abc.prior_draws, law=law,
+                         select=select, z_grid=z).tolist()
     row_of = {int(d): r for r, d in enumerate(sorted(wanted))}
 
     out = Path(cfg.out)
     suffix = "" if arm == "diffusion" else f"_{arm}"
-    prior_rows = [(d, z[k], funcs[row_of[d], k])
+    prior_rows = [(d, zk, v)
                   for d in range(min(cfg.functions, abc.prior_draws))
-                  for k in range(z.size)]
+                  for zk, v in zip(cfg.inputs, funcs[row_of[d]])]
     write_csv(out / f"prior{suffix}.csv", ["draw", "z", "value"], prior_rows)
-    post_rows = [(int(d), z[k], funcs[row_of[int(d)], k])
-                 for d in accepted for k in range(z.size)]
+    post_rows = [(d, zk, v) for d in accepted.tolist()
+                 for zk, v in zip(cfg.inputs, funcs[row_of[d]])]
     write_csv(out / f"posterior{suffix}.csv", ["draw", "z", "value"],
               post_rows)
     acc_mask = np.zeros(abc.prior_draws, dtype=int)
     acc_mask[accepted] = 1
     write_csv(out / f"distances{suffix}.csv", ["draw", "distance", "accepted"],
-              [(d, distances[d], acc_mask[d])
-               for d in range(abc.prior_draws)])
+              list(zip(range(abc.prior_draws), distances.tolist(),
+                       acc_mask.tolist())))
     q = np.quantile(distances, [0.001, 0.01, 0.05, 0.5])
     return {"accepted": accepted, "distances": distances,
             "accepted_mean": float(distances[accepted].mean()),

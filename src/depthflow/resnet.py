@@ -3,19 +3,22 @@
 Implements the identity-ResNet recursion with depth-scaled random
 parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, the
 SDE sampler in :mod:`depthflow.sde` and the two ABC passes run on one
-propagation kernel (:func:`_propagate`), chunked over draws. Each caller
-passes its step and its noise, read from streams keyed by (chunk, layer),
-so results are reproducible and independent of how work is scheduled; it
-also picks the draws that run, their initial states and the coordinates
-stored. A layer's noise is drawn independently of the state it drives,
-so the kernel draws the next (chunk, layer)'s noise on a worker thread
-while the current layer computes. A chunk whose state holds more numbers
+propagation kernel (:func:`_propagate`). Each caller passes its step and
+its noise, read from streams keyed by (chunk, layer), so results are
+reproducible and independent of how work is scheduled; it also picks the
+draws that run, their initial states and the coordinates stored. What a
+layer steps is a batch: consecutive stream chunks packed together while
+the batch holds at most ``DRAW_CHUNK`` draws, so a full chunk is a batch
+of its own and a caller that runs a few draws of many chunks steps them
+at once. A layer's noise is drawn independently of the state it drives,
+so the kernel draws the next (batch, layer)'s noise on a worker thread
+while the current layer computes. A batch whose state holds more numbers
 than its layer noise is compute-bound: a large one has its rows stepped
 in blocks, one per available CPU, at once, and each thread steps its
 rows in tiles of at most ``ROW_TILE`` state numbers, so a layer's
 temporaries are tile-sized and stay in cache. Every operation of a step
-acts on each draw alone, so neither the blocks nor the tiles change the
-output: it is the serial loop's, bit for bit.
+acts on each draw alone, so neither the batches, the blocks nor the
+tiles change the output: it is the serial loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -177,17 +180,20 @@ def choose_sampler(law, n_inputs: int, width: int) -> str:
 
 
 def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int,
-                 n_draws: int):
-    """The residual, SDE and feedforward samplers' ``draw(c, l)``: chunk c's
-    layer-l noise pair for all its draws, drawn by
-    :func:`depthflow.laws.sample_eps` for ``law`` (projected when ``mode``
-    says so) from the stream ``seed.with_stream(replicate=c, layer=l)``."""
+                 n_draws: int, prefix: dict | None = None):
+    """The samplers' ``draw(c, l)``: chunk c's layer-l noise pair for all
+    its draws, drawn by :func:`depthflow.laws.sample_eps` for ``law``
+    (projected when ``mode`` says so) from the stream
+    ``seed.with_stream(replicate=c, layer=l)``. ``prefix`` maps a chunk to
+    how many of its first draws to draw instead; the draw is
+    prefix-invariant, so they are the whole chunk's first rows, bit for
+    bit."""
     cols = min(n_inputs, law.dim) if mode == "projected" else None
 
     def draw(c, l):
         rng = make_rng(seed.with_stream(replicate=c, layer=l))
-        return sample_eps(law, rng, min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK),
-                          cols)
+        n = min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
+        return sample_eps(law, rng, n if prefix is None else prefix[c], cols)
 
     return draw
 
@@ -216,15 +222,15 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
                draw, store_stride: int | None = None,
                rows: dict | None = None,
                coords: list | None = None) -> PathBatch:
-    """Run ``depth`` steps of ``step`` on N inputs, in chunks of
+    """Run ``depth`` steps of ``step`` on N inputs, in batches of at most
     ``DRAW_CHUNK`` draws.
 
-    ``draw(c, l)`` returns chunk ``c``'s noise for layer ``l``: a tuple of
-    arrays (or None) whose first axis runs over the draws of the chunk
-    that run. ``step(x, eps, l)`` maps their (rows, N, D) states to the
-    next ones given that noise, with overflow and invalid-value warnings
-    off. Rows that go non-finite or whose norm passes ``HARD_CAP`` are
-    flagged and frozen (:func:`_freeze_diverged`), for every caller.
+    ``draw(c, l)`` returns stream chunk ``c``'s noise for layer ``l``: a
+    tuple of arrays (or None) whose first axis runs over the draws of the
+    chunk that run. ``step(x, eps, l)`` maps their (rows, N, D) states to
+    the next ones given that noise, with overflow and invalid-value
+    warnings off. Rows that go non-finite or whose norm passes ``HARD_CAP``
+    are flagged and frozen (:func:`_freeze_diverged`), for every caller.
 
     ``rows`` maps a chunk to how many of its draws run, in the order the
     chunks run; by default all ``n_draws`` run, chunk by chunk. ``x0`` is the
@@ -233,28 +239,33 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     ``store_stride`` steps and the last step, at times ``step * dt``: the
     coordinates ``coords``, or all of them.
 
-    The noise of a layer does not depend on the states it drives: ``draw``
-    sees only (c, l). So one worker thread draws the next (chunk, layer)'s
-    noise while this one computes. It makes the calls a serial loop makes,
-    in the same order. A chunk whose state holds more numbers than its
-    layer-0 noise is compute-bound: its rows are split into one block per
+    What a layer steps is a batch: consecutive entries of ``rows`` packed
+    together while the batch holds at most ``DRAW_CHUNK`` draws. A full
+    chunk is a batch of its own; the few kept draws of many chunks (ABC's
+    second pass) are stepped together. A batch's noise for a layer is its
+    chunks' ``draw(c, l)`` tuples, concatenated. The noise of a layer
+    does not depend on the states it drives: ``draw`` sees only (c, l). So
+    one worker thread draws the next (batch, layer)'s noise while this one
+    computes. It makes the calls a serial loop makes, grouped by batch and
+    then by layer. A batch whose state holds more numbers than its layer-0
+    noise is compute-bound: its rows are split into one block per
     available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. A
-    chunk with more noise is draw-bound, and blocks would only take CPU
-    from the draw, and it is stepped whole. In a compute-bound chunk each
+    batch with more noise is draw-bound, and blocks would only take CPU
+    from the draw, and it is stepped whole. In a compute-bound batch each
     block is a run of row tiles of at most ``ROW_TILE`` state numbers (one
     row if a row is larger), the last one short, and each tile keeps its
-    own state for the whole chunk. Each layer steps the blocks at once,
+    own state for the whole batch. Each layer steps the blocks at once,
     one on this thread and the others on a pool, one task per block; a
     block steps its tiles in order and stores each tile's rows as it goes.
-    So a layer's temporaries are tile-sized: only the chunk's state and
-    its noise grow with the chunk. Every operation of a step and of the
-    guard acts on each draw alone, so neither blocks nor tiles change the
-    output: it is the serial loop's, bit for bit. The workers are gone on
-    return, and an exception raised in ``draw`` or in a tile's step comes
-    out of this call.
+    So a layer's temporaries are tile-sized: only the batch's state and
+    its noise grow with the batch. Every operation of a step and of the
+    guard acts on each draw alone, so neither batches, blocks nor tiles
+    change the output: it is the serial loop's, bit for bit. The workers
+    are gone on return, and an exception raised in ``draw`` or in a
+    tile's step comes out of this call.
 
     Before it allocates anything the kernel estimates the least the run
-    holds at once: the stored states, a chunk's state and a few
+    holds at once: the stored states, the largest batch's state and a few
     temporaries per tile in flight. A run that would not fit in physical
     memory is refused with a :class:`ConfigError` that states both
     numbers.
@@ -269,7 +280,15 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     if rows is None:
         rows = {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
                 for c in range(-(-n_draws // DRAW_CHUNK))}
-    pairs = [(c, l) for c in rows for l in range(depth)]
+    # (chunks, draws) of each batch, in the order the chunks run
+    batches = []
+    for c, n in rows.items():
+        if batches and batches[-1][1] + n <= DRAW_CHUNK:
+            chunks, m = batches.pop()
+            batches.append((chunks + (c,), m + n))
+        else:
+            batches.append(((c,), n))
+    pairs = [(b, l) for b in range(len(batches)) for l in range(depth)]
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
     shape = (sum(rows.values()), N, keep.size,
@@ -278,18 +297,18 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     tile = max(1, ROW_TILE // (N * D))
 
     def split(n, noise_size=0):
-        # (blocks, rows per tile) of a chunk of n rows: a compute-bound one
+        # (blocks, rows per tile) of a batch of n rows: a compute-bound one
         # is cut into one block per CPU and tiles; a draw-bound one whole
         size = n * N * D
         if size <= noise_size:
             return 1, max(n, 1)
         return max(1, min(cpus, n, size // ROW_BLOCK_MIN)), tile
 
-    # float64 numbers held at once, at least: the stored states, one
-    # chunk's state and, on each block's thread, about four tile-sized
-    # arrays (the increment, the activation output, the new state, the
-    # guard's copy)
-    most = max(rows.values(), default=0)
+    # float64 numbers held at once, at least: the stored states, the
+    # largest batch's state and, on each block's thread, about four
+    # tile-sized arrays (the increment, the activation output, the new
+    # state, the guard's copy)
+    most = max((n for _, n in batches), default=0)
     P, _ = split(most)
     need = 8 * (math.prod(shape) + (most + 4 * P * min(tile, most)) * N * D)
     limit = _memory_limit()
@@ -301,13 +320,20 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     states = np.empty(shape)
     diverged = np.zeros(shape[:2], dtype=bool)
 
+    def batch_draw(b, l):
+        parts = [draw(c, l) for c in batches[b][0]]
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(None if e[0] is None else np.concatenate(e)
+                     for e in zip(*parts))
+
     # warning state is per thread; the draw and the blocks keep the step's
     quiet = np.errstate(over="ignore", invalid="ignore")
-    noise = quiet(draw)
+    noise = quiet(batch_draw)
 
     @quiet
     def advance(tiles, eps, l, start, kpos):
-        # tiles are [a, b, state] of rows a:b of the chunk that starts at
+        # tiles are [a, b, state] of rows a:b of the batch that starts at
         # row start; their flags live in diverged
         for t in tiles:
             a, b, x = t
@@ -323,7 +349,7 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
             ThreadPoolExecutor(max(1, cpus - 1)) as pool:
         ahead = drawer.submit(noise, *pairs[0]) if pairs else None
         start, k = 0, 0
-        for c, n in rows.items():
+        for _, n in batches:
             first = x0[start:start + n] if x0.ndim == 3 else x0
             x = np.broadcast_to(first, (n, N, D))
             states[start:start + n, :, 0] = x[..., store]
@@ -349,7 +375,7 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
                 for future in running:
                     future.result()
                 kpos += save is not None
-            # freed before the next chunk's state is built
+            # freed before the next batch's state is built
             del blocks
             start += n
 

@@ -363,6 +363,18 @@ class TestOutputHelpers:
         assert lines[0] == "x,y"
         assert lines[1] == "1,0.5"
 
+    @pytest.mark.parametrize("cell", [
+        -0.0, NAN, INF, -INF, 1e16, 1e-5, 0.1 + 0.2, np.float64(0.1),
+        np.int64(-7), int(np.True_)],
+        ids=["neg-zero", "nan", "inf", "neg-inf", "1e16", "1e-5", "sum",
+             "np.float64", "np.int64", "int-of-bool"])
+    def test_csv_cell_text_is_fmt(self, tmp_path, cell):
+        # a cell of each kind, in a row of Python cells and alone
+        path = tmp_path / "a.csv"
+        write_csv(path, ["x", "y", "z"], [("s", 3, cell), [cell]])
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [f"s,3,{fmt(cell)}", fmt(cell)]
+
     def test_svg_matrix_round_trip(self, tmp_path):
         matrix = np.array([[1.0, -0.5], [-0.5, 1.0]])
         path = tmp_path / "h.svg"
@@ -666,6 +678,25 @@ class TestCliEntry:
         assert err["message"].startswith(
             "only 0 of 400 draws did not diverge at any input")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("kind", ["function_space", "corr_heatmap"])
+    def test_stdout_counts_the_draws_used(self, tmp_path, capsys,
+                                          monkeypatch, kind):
+        batches = []
+
+        def spy(*args, _fn=experiments.resnet_forward, **kwargs):
+            batches.append(_fn(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(experiments, "resnet_forward", spy)
+        raw = self.swish_config(kind, tmp_path / "o", 20.0)
+        code = entry([kind, "--config", str(write_config(tmp_path, raw))])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        alive = ~batches[0].diverged.any(axis=1)
+        assert 0 < alive.sum() < 400
+        assert summary["draws_used"] == alive.sum()
+        assert summary["draws"] == 400
 
     @pytest.mark.parametrize("kind", ["function_space", "corr_heatmap"])
     def test_statistics_skip_diverged_draws(self, tmp_path, capsys,

@@ -681,7 +681,9 @@ class TestRowBlocks:
     @pytest.mark.parametrize("rows, N, D, blocks, tiles", [
         (DRAW_CHUNK, 2, 64, 1, 1),    # sanity_check, projected
         (DRAW_CHUNK, 21, 64, 1, 3),   # corr_heatmap
-        (32, 404, 32, 1, 4),          # the largest chunk of ABC's pass 2
+        # ABC's pass 2 at desk scale, one packed batch: 30 prior functions
+        # and 10 kept draws
+        (40, 404, 32, 1, 4),
         (128, 400, 64, 2, 26),        # function_space: 13 tiles per block
     ], ids=["sanity", "corr", "abc", "fspace"])
     def test_block_floor_at_desk_shapes(self, monkeypatch, rows, N, D,
@@ -853,6 +855,73 @@ class TestRowTiles:
         state = rows * N * D * 8
         noise = rows * (D * D + D) * 8
         assert peak < state + 2 * noise + 8 * ROW_TILE * 8
+
+
+class TestBatchPacking:
+    """Consecutive chunks of ``rows`` are stepped as one batch while it
+    holds at most DRAW_CHUNK draws."""
+
+    @pytest.fixture
+    def batch_rows(self, monkeypatch):
+        """The rows of each (layer, tile) the kernel stepped, in order."""
+        seen = []
+
+        def spy(x_new, *args, **kwargs):
+            seen.append(x_new.shape[0])
+            return _freeze_diverged(x_new, *args, **kwargs)
+
+        monkeypatch.setattr("depthflow.resnet._freeze_diverged", spy)
+        return seen
+
+    def test_packed_batches_match_serial_loop(self, batch_rows):
+        # 30 + 2 draws fill one batch; 250 and then 7 would overflow it.
+        # N = 3 at D = 6 is projected and draw-bound, so each batch is
+        # stepped whole. The draw's last entry is None, as in ABC's first
+        # pass.
+        D, depth = 6, 5
+        rows = {0: 30, 1: 2, 2: 250, 3: 7}
+        x0 = np.random.default_rng(5).standard_normal((289, 3, D)) * 4.0
+        law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
+        full = _stream_draw(SeedSpec(83, "pack/rows"), law, "projected", 3,
+                            4 * DRAW_CHUNK)
+
+        def draw(c, l):
+            epsW, epsb = full(c, l)
+            return epsW[:rows[c]], epsb[:rows[c]], None
+
+        def step(x, eps, l):
+            return x + SWISH(_layer_increment(law, eps[:2], x, "projected",
+                                              1.0))
+
+        args = (x0, 4 * DRAW_CHUNK, depth, 1.0, step, draw, 1, rows)
+        got = _propagate(*args)
+        assert batch_rows == [32] * depth + [250] * depth + [7] * depth
+        want = serial_propagate(*args)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    def test_abc_pass_two_is_one_batch_per_layer(self, monkeypatch,
+                                                 batch_rows):
+        from test_abc import serial_abc_outputs
+
+        from depthflow.experiments import ModelSpec, _abc_outputs
+
+        # the shipped abc_regression model, at depth 3, and grid at 1280
+        # prior draws: 30 prior functions and 10 kept draws over 5 chunks. One tile per
+        # batch, so each step the spy sees is a whole batch.
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 1 << 30)
+        spec = ModelSpec(kind="diffusion", activation="tanh", sigma_w2=10.0,
+                         sigma_b2=10.0, depth=3, width=32)
+        z, seed = np.array([-1.0, 0.0, 1.0]), SeedSpec(89, "abc")
+        grid = np.linspace(-2.0, 2.0, 401)
+        select = {0: [*range(30), 200], 1: [17, 140], 2: [5, 77, 250],
+                  3: [0, 9], 4: [33, 101]}
+        got = _abc_outputs(spec, z, seed, 1280, select=select, z_grid=grid)
+        assert batch_rows == [40] * 3
+        assert np.array_equal(got, serial_abc_outputs(
+            spec, z, seed, 1280, select=select, z_grid=grid))
 
 
 class TestFeedforward:
