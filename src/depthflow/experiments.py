@@ -24,8 +24,8 @@ from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DegenerateDistributionError
 from .laws import FullyIidLaw, scale_eps
 from .resnet import (DRAW_CHUNK, FeedforwardConfig, _batched_psd_factor,
-                     _memory_limit, _propagate, _stream_draw, eoc_solve,
-                     feedforward_forward, resnet_forward)
+                     _chunks, _memory_limit, _propagate, _stream_draw,
+                     eoc_solve, feedforward_forward, resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
 from .train import Dataset, TrainConfig, load_idx, sgd_run, toy_blobs
@@ -648,9 +648,10 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
                  n_draws: int, law: FullyIidLaw | None = None,
                  select: dict | None = None,
                  z_grid: np.ndarray | None = None) -> np.ndarray:
-    """First-coordinate outputs x_{T,1}(z), z = W_I z, at ``z_values`` for
-    every draw, or at ``z_grid`` for the draws ``select`` keeps (chunk
-    index -> within-chunk draw indexes). ``law`` is the arm's
+    """First-coordinate outputs x_{T,1}(z) at ``z_values`` for every draw,
+    or at ``z_grid`` for the draws ``select`` keeps (chunk index ->
+    within-chunk draw indexes). A draw's input layer w, from its chunk's
+    ``/input`` stream, embeds input z as x_0 = z w. ``law`` is the arm's
     :func:`_abc_law`, by default at ``AbcSpec``'s bias variance; both
     passes of an arm take the same one.
 
@@ -659,8 +660,9 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     with Z the draw's rows-first K x D projected noise, psi(X)^T = Q R at
     ``z_values`` and E a per-draw D x D normal. For
     i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
-    its law given the outputs at ``z_values``. A chunk's noise is drawn
-    only up to its last kept draw: the draw is prefix-invariant.
+    its law given the outputs at ``z_values``. A chunk's input layers and
+    noise are drawn only up to its last kept draw, when its batch starts:
+    both draws are prefix-invariant.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
@@ -671,21 +673,22 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     complement = seed.with_stream(experiment=seed.experiment + "/complement")
     z = np.asarray(z_values, dtype=float)
     n_obs = z.size
-    picks = {rep: slice(None) for rep in range(-(-n_draws // DRAW_CHUNK))}
-    prefix = None
+    # chunk -> how many draws run, which ones, and how many are drawn
+    rows = drawn = _chunks(n_draws)
+    picks = dict.fromkeys(rows, slice(None))
     if select is not None:
         picks = {rep: np.asarray(select[rep], dtype=int)
                  for rep in sorted(select)}
-        prefix = {rep: int(sel.max()) + 1 for rep, sel in picks.items()}
+        rows = {rep: sel.size for rep, sel in picks.items()}
+        drawn = {rep: int(sel.max()) + 1 for rep, sel in picks.items()}
         z = np.concatenate([z, z_grid])
-    W_I = {}
-    for rep, sel in picks.items():
-        rng_in = make_rng(seed.with_stream(
-            experiment=seed.experiment + "/input", replicate=rep))
-        chunk = min(DRAW_CHUNK, n_draws - rep * DRAW_CHUNK)
-        W_I[rep] = rng_in.standard_normal((chunk, D))[sel]
-    layer_noise = _stream_draw(seed, law, "projected", n_obs, n_draws,
-                               prefix)
+    layer_noise = _stream_draw(seed, law, "projected", n_obs, drawn)
+
+    def start(c, n):
+        rng = make_rng(seed.with_stream(
+            experiment=seed.experiment + "/input", replicate=c))
+        w = rng.standard_normal((drawn[c], D))[picks[c]]
+        return z[None, :, None] * w[:, None, :]
 
     def draw(c, l):
         epsW, epsb = layer_noise(c, l)
@@ -716,9 +719,7 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
             y += x
         return y
 
-    x0 = z[None, :, None] * np.concatenate(list(W_I.values()))[:, None, :]
-    batch = _propagate(x0, n_draws, L, 1.0, step, draw,
-                       rows={rep: w.shape[0] for rep, w in W_I.items()},
+    batch = _propagate(start, (z.size, D), rows, L, 1.0, step, draw,
                        coords=[0])
     return batch.xT[:, 0 if select is None else n_obs:, 0]
 

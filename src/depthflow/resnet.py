@@ -3,22 +3,11 @@
 Implements the identity-ResNet recursion with depth-scaled random
 parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, the
 SDE sampler in :mod:`depthflow.sde` and the two ABC passes run on one
-propagation kernel (:func:`_propagate`). Each caller passes its step and
-its noise, read from streams keyed by (chunk, layer), so results are
-reproducible and independent of how work is scheduled; it also picks the
-draws that run, their initial states and the coordinates stored. What a
-layer steps is a batch: consecutive stream chunks packed together while
-the batch holds at most ``DRAW_CHUNK`` draws, so a full chunk is a batch
-of its own and a caller that runs a few draws of many chunks steps them
-at once. A layer's noise is drawn independently of the state it drives,
-so the kernel draws the next (batch, layer)'s noise on a worker thread
-while the current layer computes. A batch whose state holds more numbers
-than its layer noise is compute-bound: a large one has its rows stepped
-in blocks, one per available CPU, at once, and each thread steps its
-rows in tiles of at most ``ROW_TILE`` state numbers, so a layer's
-temporaries are tile-sized and stay in cache. Every operation of a step
-acts on each draw alone, so neither the batches, the blocks nor the
-tiles change the output: it is the serial loop's, bit for bit.
+propagation kernel (:func:`_propagate`). Each caller names the draws that
+run, chunk by chunk, and passes each chunk's initial states, its step,
+its noise, read from streams keyed by (chunk, layer), and the coordinates
+stored. So the output does not depend on how the kernel schedules the
+work (README): it is a serial loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -179,21 +168,27 @@ def choose_sampler(law, n_inputs: int, width: int) -> str:
             and 2 * n_inputs <= width else "materialized")
 
 
-def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int,
-                 n_draws: int, prefix: dict | None = None):
-    """The samplers' ``draw(c, l)``: chunk c's layer-l noise pair for all
-    its draws, drawn by :func:`depthflow.laws.sample_eps` for ``law``
-    (projected when ``mode`` says so) from the stream
-    ``seed.with_stream(replicate=c, layer=l)``. ``prefix`` maps a chunk to
-    how many of its first draws to draw instead; the draw is
-    prefix-invariant, so they are the whole chunk's first rows, bit for
+def _chunks(n_draws: int) -> dict:
+    """The ``rows`` of a run of ``n_draws`` draws: stream chunk -> its
+    draw count, every chunk full but the last."""
+    if n_draws < 1:
+        raise ConfigError("n_draws must be >= 1")
+    return {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
+            for c in range(-(-n_draws // DRAW_CHUNK))}
+
+
+def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int, rows: dict):
+    """The samplers' ``draw(c, l)``: the layer-l noise pair of chunk c's
+    first ``rows[c]`` draws, drawn by :func:`depthflow.laws.sample_eps` for
+    ``law`` (projected when ``mode`` says so) from the stream
+    ``seed.with_stream(replicate=c, layer=l)``. The draw is
+    prefix-invariant: they are the whole chunk's first rows, bit for
     bit."""
     cols = min(n_inputs, law.dim) if mode == "projected" else None
 
     def draw(c, l):
         rng = make_rng(seed.with_stream(replicate=c, layer=l))
-        n = min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
-        return sample_eps(law, rng, n if prefix is None else prefix[c], cols)
+        return sample_eps(law, rng, rows[c], cols)
 
     return draw
 
@@ -218,68 +213,42 @@ def _memory_limit() -> int | None:
     return limit if limit > 0 else None
 
 
-def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
-               draw, store_stride: int | None = None,
-               rows: dict | None = None,
+def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
+               step, draw, store_stride: int | None = None,
                coords: list | None = None) -> PathBatch:
-    """Run ``depth`` steps of ``step`` on N inputs, in batches of at most
-    ``DRAW_CHUNK`` draws.
+    """Run ``depth`` steps of ``step`` for the draws ``rows`` names, from
+    the initial states ``start`` gives.
 
-    ``draw(c, l)`` returns stream chunk ``c``'s noise for layer ``l``: a
-    tuple of arrays (or None) whose first axis runs over the draws of the
-    chunk that run. ``step(x, eps, l)`` maps their (rows, N, D) states to
-    the next ones given that noise, with overflow and invalid-value
-    warnings off. Rows that go non-finite or whose norm passes ``HARD_CAP``
-    are flagged and frozen (:func:`_freeze_diverged`), for every caller.
+    ``rows`` maps each stream chunk that runs to how many of its first
+    draws run, in the order the chunks run. ``start(c, n)`` returns chunk
+    c's first n initial states, (n, N, D) or an (N, D) array that
+    broadcasts, with ``shape`` = (N, D). ``draw(c, l)`` returns chunk c's
+    layer-l noise for those draws: a tuple of arrays (or None), the first
+    axis over the draws. ``step(x, eps, l)`` maps (rows, N, D) states to
+    the next ones given their noise, with overflow and invalid-value
+    warnings off. Rows that go non-finite or whose norm passes
+    ``HARD_CAP`` are flagged and frozen (:func:`_freeze_diverged`). States
+    are stored at step 0, every ``store_stride`` steps and the last step,
+    at times ``step * dt``: the coordinates ``coords``, or all of them.
 
-    ``rows`` maps a chunk to how many of its draws run, in the order the
-    chunks run; by default all ``n_draws`` run, chunk by chunk. ``x0`` is the
-    (N, D) initial state of every draw, or one (N, D) state per draw that
-    runs, in that order. States are stored at step 0, every
-    ``store_stride`` steps and the last step, at times ``step * dt``: the
-    coordinates ``coords``, or all of them.
+    ``start`` is called once per chunk, on this thread, when the chunk's
+    batch starts, and ``draw`` once per (chunk, layer), on a worker thread
+    ahead of the step. How the kernel batches, splits and tiles the rows
+    (README) does not change the output: it is, bit for bit, a serial
+    loop's over ``rows`` that calls ``start`` and then ``draw`` and
+    ``step`` per layer. An exception raised in ``start``, ``draw`` or
+    ``step`` comes out of this call, and the workers are gone on return.
 
-    What a layer steps is a batch: consecutive entries of ``rows`` packed
-    together while the batch holds at most ``DRAW_CHUNK`` draws. A full
-    chunk is a batch of its own; the few kept draws of many chunks (ABC's
-    second pass) are stepped together. A batch's noise for a layer is its
-    chunks' ``draw(c, l)`` tuples, concatenated. The noise of a layer
-    does not depend on the states it drives: ``draw`` sees only (c, l). So
-    one worker thread draws the next (batch, layer)'s noise while this one
-    computes. It makes the calls a serial loop makes, grouped by batch and
-    then by layer. A batch whose state holds more numbers than its layer-0
-    noise is compute-bound: its rows are split into one block per
-    available CPU, each of at least ``ROW_BLOCK_MIN`` state numbers. A
-    batch with more noise is draw-bound, and blocks would only take CPU
-    from the draw, and it is stepped whole. In a compute-bound batch each
-    block is a run of row tiles of at most ``ROW_TILE`` state numbers (one
-    row if a row is larger), the last one short, and each tile keeps its
-    own state for the whole batch. Each layer steps the blocks at once,
-    one on this thread and the others on a pool, one task per block; a
-    block steps its tiles in order and stores each tile's rows as it goes.
-    So a layer's temporaries are tile-sized: only the batch's state and
-    its noise grow with the batch. Every operation of a step and of the
-    guard acts on each draw alone, so neither batches, blocks nor tiles
-    change the output: it is the serial loop's, bit for bit. The workers
-    are gone on return, and an exception raised in ``draw`` or in a
-    tile's step comes out of this call.
-
-    Before it allocates anything the kernel estimates the least the run
-    holds at once: the stored states, the largest batch's state and a few
-    temporaries per tile in flight. A run that would not fit in physical
+    Before it calls ``start`` or allocates anything, the kernel estimates
+    the least the run holds at once. A run that would not fit in physical
     memory is refused with a :class:`ConfigError` that states both
     numbers.
     """
-    if n_draws < 1:
-        raise ConfigError("n_draws must be >= 1")
     # imported here: the module costs about 10 ms, paid by the first run
     # instead of every start-up
     from concurrent.futures import ThreadPoolExecutor
 
-    N, D = x0.shape[-2:]
-    if rows is None:
-        rows = {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
-                for c in range(-(-n_draws // DRAW_CHUNK))}
+    N, D = shape
     # (chunks, draws) of each batch, in the order the chunks run
     batches = []
     for c, n in rows.items():
@@ -291,8 +260,8 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     pairs = [(b, l) for b in range(len(batches)) for l in range(depth)]
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    shape = (sum(rows.values()), N, keep.size,
-             D if coords is None else len(coords))
+    stored = (sum(rows.values()), N, keep.size,
+              D if coords is None else len(coords))
     cpus = _available_cpus()
     tile = max(1, ROW_TILE // (N * D))
 
@@ -310,15 +279,15 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     # state, the guard's copy)
     most = max((n for _, n in batches), default=0)
     P, _ = split(most)
-    need = 8 * (math.prod(shape) + (most + 4 * P * min(tile, most)) * N * D)
+    need = 8 * (math.prod(stored) + (most + 4 * P * min(tile, most)) * N * D)
     limit = _memory_limit()
     if limit is not None and need > limit:
         raise ConfigError(
             f"the run would hold at least {need} bytes at once, more than "
             f"the {limit} bytes of physical memory; use fewer draws, "
             f"inputs, stored steps or a smaller width")
-    states = np.empty(shape)
-    diverged = np.zeros(shape[:2], dtype=bool)
+    states = np.empty(stored)
+    diverged = np.zeros(stored[:2], dtype=bool)
 
     def batch_draw(b, l):
         parts = [draw(c, l) for c in batches[b][0]]
@@ -332,13 +301,13 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     noise = quiet(batch_draw)
 
     @quiet
-    def advance(tiles, eps, l, start, kpos):
+    def advance(tiles, eps, l, row, kpos):
         # tiles are [a, b, state] of rows a:b of the batch that starts at
-        # row start; their flags live in diverged
+        # row ``row``; their flags live in diverged
         for t in tiles:
             a, b, x = t
             part = tuple(e if e is None else e[a:b] for e in eps)
-            at = slice(start + a, start + b)
+            at = slice(row + a, row + b)
             t[2], diverged[at] = _freeze_diverged(step(x, part, l), x,
                                                   diverged[at])
             if kpos is not None:
@@ -348,17 +317,33 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
     with ThreadPoolExecutor(1) as drawer, \
             ThreadPoolExecutor(max(1, cpus - 1)) as pool:
         ahead = drawer.submit(noise, *pairs[0]) if pairs else None
-        start, k = 0, 0
-        for _, n in batches:
-            first = x0[start:start + n] if x0.ndim == 3 else x0
-            x = np.broadcast_to(first, (n, N, D))
-            states[start:start + n, :, 0] = x[..., store]
+        row, k = 0, 0
+        for chunks, n in batches:
             eps = ahead.result() if depth else ()
             P, T = split(n, sum(e.size for e in eps if e is not None))
             cuts = [n * i // P for i in range(P + 1)]
-            blocks = [[[a, min(a + T, hi), x[a:min(a + T, hi)].copy()]
-                       for a in range(lo, hi, T)]
+            blocks = [[[a, min(a + T, hi), None] for a in range(lo, hi, T)]
                       for lo, hi in zip(cuts, cuts[1:])]
+            tiles = [t for block in blocks for t in block]
+            # each chunk's initial states are copied into the tiles they
+            # fall in, so the batch holds one chunk's start array at a time.
+            # A tile is allocated when its first rows arrive: allocating
+            # every tile before the first start put corr_heatmap's peak RSS
+            # 2.6 MB higher (glibc heap layout)
+            first = 0
+            for c in chunks:
+                last = first + rows[c]
+                x = np.broadcast_to(start(c, rows[c]), (rows[c], N, D))
+                states[row + first:row + last, :, 0] = x[..., store]
+                for t in tiles:
+                    a, b, _ = t
+                    lo, hi = max(a, first), min(b, last)
+                    if lo < hi:
+                        if t[2] is None:
+                            t[2] = np.empty((b - a, N, D))
+                        t[2][lo - a:hi - a] = x[lo - first:hi - first]
+                first = last
+                del x
             kpos = 1
             for l in range(depth):
                 # rebound before the next draw starts, so the last layer's
@@ -369,15 +354,15 @@ def _propagate(x0: np.ndarray, n_draws: int, depth: int, dt: float, step,
                     ahead = drawer.submit(noise, *pairs[k])
                 save = kpos if kpos < keep.size and keep[kpos] == l + 1 \
                     else None
-                running = [pool.submit(advance, tiles, eps, l, start, save)
-                           for tiles in blocks[1:]]
-                advance(blocks[0], eps, l, start, save)
+                running = [pool.submit(advance, block, eps, l, row, save)
+                           for block in blocks[1:]]
+                advance(blocks[0], eps, l, row, save)
                 for future in running:
                     future.result()
                 kpos += save is not None
             # freed before the next batch's state is built
-            del blocks
-            start += n
+            del blocks, tiles
+            row += n
 
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
@@ -408,8 +393,9 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
         y += x
         return y
 
-    return _propagate(x0_batch, n_draws, config.depth, dt, step,
-                      _stream_draw(seed, law, mode, N, n_draws),
+    rows = _chunks(n_draws)
+    return _propagate(lambda c, n: x0_batch, (N, D), rows, config.depth, dt,
+                      step, _stream_draw(seed, law, mode, N, rows),
                       store_stride=store_stride, coords=coords)
 
 
@@ -443,8 +429,10 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     def step(h, eps, l):
         return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
 
-    return _propagate(x0_batch, n_draws, cfg.depth, 1.0, step,
-                      _stream_draw(seed, law, mode, N, n_draws), coords=coords)
+    rows = _chunks(n_draws)
+    return _propagate(lambda c, n: x0_batch, (N, D), rows, cfg.depth, 1.0,
+                      step, _stream_draw(seed, law, mode, N, rows),
+                      coords=coords)
 
 
 @lru_cache(maxsize=1)

@@ -25,8 +25,9 @@ from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
                    conditional_variance, psd_sqrt, time_change_rescale)
 # _freeze_diverged and _batched_psd_factor are unused here;
 # perfbench/test_selftest.py looks both up here
-from .resnet import PathBatch, _batched_psd_factor, _freeze_diverged, \
-    _layer_increment, _propagate, _stream_draw, choose_sampler  # noqa: F401
+from .resnet import PathBatch, _batched_psd_factor, _chunks, \
+    _freeze_diverged, _layer_increment, _propagate, _stream_draw, \
+    choose_sampler  # noqa: F401
 
 __all__ = [
     "SdeCoefficients", "drift_eval", "diffusion_eval", "simulate_paths",
@@ -151,8 +152,9 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
         h += x + _batched_drift(coeffs, px) * dt
         return h
 
-    return _propagate(x0_batch, n_draws, L, dt, step,
-                      _stream_draw(seed, law, mode, N, n_draws),
+    rows = _chunks(n_draws)
+    return _propagate(lambda c, n: x0_batch, (N, D), rows, L, dt, step,
+                      _stream_draw(seed, law, mode, N, rows),
                       store_stride=store_stride)
 
 

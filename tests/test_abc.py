@@ -9,6 +9,7 @@ import pytest
 
 from depthflow.activations import get_activation
 from depthflow.config import SeedSpec, make_rng
+from depthflow.errors import ConfigError
 from depthflow.experiments import (ModelSpec, _abc_outputs, parse_config,
                                    run_experiment)
 from depthflow.laws import FullyIidLaw, sample_eps, scale_eps
@@ -319,3 +320,27 @@ def test_completion_draw_failure_raised_and_worker_stopped(tmp_path,
         run_experiment(small_abc_config(tmp_path))
     assert info.value is error
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("select", [None, {0: [3], 2: [0, 7]}],
+                         ids=["pass_one", "pass_two"])
+def test_memory_refusal_comes_before_the_input_draw(monkeypatch, select):
+    # the kernel refuses a run too large for memory before it asks for
+    # any chunk's initial states, so no input layer has been drawn
+    streams = []
+
+    def spy(seed):
+        streams.append(seed.experiment)
+        return make_rng(seed)
+
+    monkeypatch.setattr("depthflow.experiments.make_rng", spy)
+    args = (abc_spec("diffusion", width=8, depth=4), np.array([-1.0, 1.0]),
+            SeedSpec(43, "abc"), 600)
+    grid = None if select is None else GRID
+    _abc_outputs(*args, select=select, z_grid=grid)
+    assert "abc/input" in streams
+    streams.clear()
+    monkeypatch.setattr("depthflow.resnet._memory_limit", lambda: 1000)
+    with pytest.raises(ConfigError, match="the 1000 bytes"):
+        _abc_outputs(*args, select=select, z_grid=grid)
+    assert streams == []

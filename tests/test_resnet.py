@@ -2,6 +2,7 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,9 +17,9 @@ from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
 from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_BLOCK_MIN, ROW_TILE,
-                              PathBatch, _batched_psd_factor, _freeze_diverged,
-                              _layer_increment, _propagate, _store_plan,
-                              _stream_draw, choose_sampler)
+                              PathBatch, _batched_psd_factor, _chunks,
+                              _freeze_diverged, _layer_increment, _propagate,
+                              _store_plan, _stream_draw, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -432,20 +433,17 @@ class TestPropagationKernel:
             assert np.array_equal(deep.xT[d, i], want)
 
 
-def serial_propagate(x0, n_draws, depth, dt, step, draw, store_stride=None,
-                     rows=None, coords=None):
-    """The propagation kernel as a plain loop: for each (chunk, layer),
-    draw its noise, then take the step."""
-    N, D = x0.shape[-2:]
-    if rows is None:
-        rows = {c: min(DRAW_CHUNK, n_draws - c * DRAW_CHUNK)
-                for c in range(-(-n_draws // DRAW_CHUNK))}
+def serial_propagate(start, shape, rows, depth, dt, step, draw,
+                     store_stride=None, coords=None):
+    """The propagation kernel as a plain loop: for each chunk, take its
+    initial states, then for each layer draw its noise and take the
+    step."""
+    N, D = shape
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    states, diverged, start = [], [], 0
+    states, diverged = [], []
     for c, n in rows.items():
-        first = x0[start:start + n] if x0.ndim == 3 else x0
-        x = np.broadcast_to(first, (n, N, D)).copy()
+        x = np.broadcast_to(start(c, n), (n, N, D)).copy()
         div = np.zeros((n, N), dtype=bool)
         trail = [x]
         for l in range(depth):
@@ -456,9 +454,15 @@ def serial_propagate(x0, n_draws, depth, dt, step, draw, store_stride=None,
             trail.append(x)
         states.append(np.stack(trail, axis=2)[:, :, keep][..., store])
         diverged.append(div)
-        start += n
     return PathBatch(times=keep * dt, states=np.concatenate(states),
                      diverged=np.concatenate(diverged))
+
+
+def starts_from(x0, rows):
+    """A ``start`` that hands out the (draws, N, D) rows of ``x0`` to the
+    chunks of ``rows``, in their order."""
+    offset = dict(zip(rows, np.cumsum([0, *rows.values()]).tolist()))
+    return lambda c, n: x0[offset[c]:offset[c] + n]
 
 
 class TestNoiseLookahead:
@@ -526,17 +530,14 @@ class TestNoiseLookahead:
         rows = {2: 30, 0: 7}
         x0 = np.random.default_rng(3).standard_normal((37, 3, D)) * 4.0
         law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
-        full = _stream_draw(SeedSpec(71, "ahead/rows"), law, "projected", 3,
-                            600)
-
-        def draw(c, l):
-            epsW, epsb = full(c, l)
-            return epsW[:rows[c]], epsb[:rows[c]]
+        draw = _stream_draw(SeedSpec(71, "ahead/rows"), law, "projected", 3,
+                            rows)
 
         def step(x, eps, l):
             return x + SWISH(_layer_increment(law, eps, x, "projected", 1.0))
 
-        args = (x0, 600, depth, 1.0, step, draw, 2, rows, [0, 4])
+        args = (starts_from(x0, rows), (3, D), rows, depth, 1.0, step, draw,
+                2, [0, 4])
         got, want = _propagate(*args), serial_propagate(*args)
         assert got.states.shape == (37, 3, 4, 2)
         assert want.diverged.any() and not want.diverged.all()
@@ -701,18 +702,21 @@ class TestRowBlocks:
             layers.append(l)
             return x
 
-        _propagate(np.zeros((N, D)), rows, 2, 1.0, step, lambda c, l: ())
+        _propagate(lambda c, n: np.zeros((N, D)), (N, D), {0: rows}, 2, 1.0,
+                   step, lambda c, l: ())
         assert len(threads) == blocks
         assert layers.count(0) == layers.count(1) == tiles
 
     @staticmethod
     def propagate(step):
         # one noise number per draw: every chunk is split
-        def draw(c, l):
-            return (np.full((min(DRAW_CHUNK, 600 - c * DRAW_CHUNK), 1, 1),
-                            float(l)),)
+        rows = _chunks(600)
 
-        return _propagate(np.ones((3, 2)), 600, 4, 1.0, step, draw)
+        def draw(c, l):
+            return (np.full((rows[c], 1, 1), float(l)),)
+
+        return _propagate(lambda c, n: np.ones((3, 2)), (3, 2), rows, 4, 1.0,
+                          step, draw)
 
     def test_block_failure_raised_and_workers_stopped(self):
         before = threading.active_count()
@@ -883,17 +887,17 @@ class TestBatchPacking:
         x0 = np.random.default_rng(5).standard_normal((289, 3, D)) * 4.0
         law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
         full = _stream_draw(SeedSpec(83, "pack/rows"), law, "projected", 3,
-                            4 * DRAW_CHUNK)
+                            rows)
 
         def draw(c, l):
-            epsW, epsb = full(c, l)
-            return epsW[:rows[c]], epsb[:rows[c]], None
+            return (*full(c, l), None)
 
         def step(x, eps, l):
             return x + SWISH(_layer_increment(law, eps[:2], x, "projected",
                                               1.0))
 
-        args = (x0, 4 * DRAW_CHUNK, depth, 1.0, step, draw, 1, rows)
+        args = (starts_from(x0, rows), (3, D), rows, depth, 1.0, step, draw,
+                1)
         got = _propagate(*args)
         assert batch_rows == [32] * depth + [250] * depth + [7] * depth
         want = serial_propagate(*args)
@@ -922,6 +926,88 @@ class TestBatchPacking:
         assert batch_rows == [40] * 3
         assert np.array_equal(got, serial_abc_outputs(
             spec, z, seed, 1280, select=select, z_grid=grid))
+
+
+class TestInitialStates:
+    """The kernel asks ``start(c, n)`` for chunk c's initial states when
+    the chunk's batch starts, and drops them once its tiles hold copies."""
+
+    def test_start_is_called_as_each_batch_starts(self):
+        # the packing of TestBatchPacking: 30 + 2 draws fill one batch,
+        # 250 and then 7 would overflow it, and every batch is stepped
+        # whole. Chunk 1 starts its draws from one (N, D) state, the
+        # others each draw from its own.
+        D, depth = 6, 5
+        rows = {0: 30, 1: 2, 2: 250, 3: 7}
+        law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
+        draw = _stream_draw(SeedSpec(97, "start/rows"), law, "projected", 3,
+                            rows)
+        events, refs, held = [], [], []
+
+        def start(c, n):
+            events.append(("start", c, n))
+            x = np.random.default_rng(c).standard_normal(
+                (3, D) if c == 1 else (n, 3, D)) * 4.0
+            refs.append(weakref.ref(x))
+            return x
+
+        def step(x, eps, l):
+            events.append(("step", l, x.shape[0]))
+            held.append(sum(ref() is not None for ref in refs))
+            return x + SWISH(_layer_increment(law, eps, x, "projected", 1.0))
+
+        args = (start, (3, D), rows, depth, 1.0, step, draw, 1)
+        got = _propagate(*args)
+        layers = range(depth)
+        assert events == [("start", 0, 30), ("start", 1, 2),
+                          *[("step", l, 32) for l in layers],
+                          ("start", 2, 250),
+                          *[("step", l, 250) for l in layers],
+                          ("start", 3, 7),
+                          *[("step", l, 7) for l in layers]]
+        # no start array outlives the copy its batch's tiles take
+        assert held == [0] * 3 * depth
+        want = serial_propagate(*args)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    def test_start_failure_raised_and_workers_stopped(self):
+        # chunk 1's start fails after chunk 0 has stepped, while the
+        # drawer has chunk 1's first layer in hand
+        before = threading.active_count()
+        error = RuntimeError("start failed at chunk 1")
+
+        def start(c, n):
+            if c == 1:
+                raise error
+            return np.ones((3, 2))
+
+        with pytest.raises(RuntimeError) as info:
+            _propagate(start, (3, 2), _chunks(600), 4, 1.0,
+                       lambda x, eps, l: x, lambda c, l: ())
+        assert info.value is error
+        assert threading.active_count() == before
+
+
+class TestDrawCount:
+    @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
+    def test_no_draws_refused(self, sampler):
+        # one check, in _chunks, for every sampler
+        x0, seed = np.ones((2, 4)), SeedSpec(101, "count")
+        with pytest.raises(ConfigError, match="n_draws must be >= 1") as info:
+            if sampler == "resnet":
+                resnet_forward(iid_model(2, 4), x0, 0, seed)
+            elif sampler == "sde":
+                law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=4)
+                simulate_paths(SdeCoefficients(law, TANH, IDENTITY), x0, 2,
+                               1.0, 0, seed)
+            else:
+                cfg = FeedforwardConfig(depth=2, width=4, sigma_w2=1.0,
+                                        sigma_b2=1.0, activation=TANH)
+                feedforward_forward(cfg, x0, 0, seed)
+        assert info.traceback[-1].name == "_chunks"
 
 
 class TestFeedforward:
