@@ -471,11 +471,12 @@ def run_sanity_check(cfg: ExperimentConfig) -> dict:
     """Residual-network vs. limiting-diffusion agreement at each input."""
     model = build_model(cfg.model)
     x0 = embed_inputs(cfg.inputs, model.width)
+    # the statistics read the first coordinate only
     net = resnet_forward(model, x0, cfg.draws,
-                         SeedSpec(cfg.seed, "sanity/resnet"))
+                         SeedSpec(cfg.seed, "sanity/resnet"), coords=[0])
     coeffs = SdeCoefficients(law=model.law, phi=model.phi, psi=model.psi)
     sde = simulate_paths(coeffs, x0, model.depth, model.horizon, cfg.draws,
-                         SeedSpec(cfg.seed, "sanity/sde"))
+                         SeedSpec(cfg.seed, "sanity/sde"), coords=[0])
     samplers = {"resnet": net, "sde": sde}
 
     out = Path(cfg.out)
@@ -650,9 +651,9 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
                  z_grid: np.ndarray | None = None) -> np.ndarray:
     """First-coordinate outputs x_{T,1}(z) at ``z_values`` for every draw,
     or at ``z_grid`` for the draws ``select`` keeps (chunk index ->
-    within-chunk draw indexes). A draw's input layer w, from its chunk's
-    ``/input`` stream, embeds input z as x_0 = z w. ``law`` is the arm's
-    :func:`_abc_law`, by default at ``AbcSpec``'s bias variance; both
+    ascending within-chunk draw indexes). A draw's input layer w, from its
+    chunk's ``/input`` stream, embeds input z as x_0 = z w. ``law`` is the
+    arm's :func:`_abc_law`, by default at ``AbcSpec``'s bias variance; both
     passes of an arm take the same one.
 
     Kept draws replay their rows at ``z_values`` bit for bit; their
@@ -661,8 +662,8 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     ``z_values`` and E a per-draw D x D normal. For
     i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
     its law given the outputs at ``z_values``. A chunk's input layers and
-    noise are drawn only up to its last kept draw, when its batch starts:
-    both draws are prefix-invariant.
+    noise are drawn only up to its last kept draw, in row order as the
+    kernel asks for its kept rows: both draws are prefix-invariant.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
@@ -675,7 +676,7 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     n_obs = z.size
     # chunk -> how many draws run, which ones, and how many are drawn
     rows = drawn = _chunks(n_draws)
-    picks = dict.fromkeys(rows, slice(None))
+    picks = {rep: np.arange(n) for rep, n in rows.items()}
     if select is not None:
         picks = {rep: np.asarray(select[rep], dtype=int)
                  for rep in sorted(select)}
@@ -683,21 +684,33 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         drawn = {rep: int(sel.max()) + 1 for rep, sel in picks.items()}
         z = np.concatenate([z, z_grid])
     layer_noise = _stream_draw(seed, law, "projected", n_obs, drawn)
+    inputs = {}
 
-    def start(c, n):
-        rng = make_rng(seed.with_stream(
+    def prefix(c, a, b):
+        # the drawn rows p:q of chunk c up to its run rows a:b, and where
+        # those sit among them
+        sel = picks[c]
+        p = int(sel[a - 1]) + 1 if a else 0
+        return p, int(sel[b - 1]) + 1, sel[a:b] - p
+
+    def start(c, a, b):
+        p, q, kept = prefix(c, a, b)
+        rng = inputs.pop(c, None) or make_rng(seed.with_stream(
             experiment=seed.experiment + "/input", replicate=c))
-        w = rng.standard_normal((drawn[c], D))[picks[c]]
+        if q < drawn[c]:
+            inputs[c] = rng
+        w = rng.standard_normal((q - p, D))[kept]
         return z[None, :, None] * w[:, None, :]
 
-    def draw(c, l):
-        epsW, epsb = layer_noise(c, l)
-        sel, E = picks[c], None
+    def draw(c, l, a, b):
+        p, q, kept = prefix(c, a, b)
+        epsW, epsb = layer_noise(c, l, p, q)
+        E = None
         if select is not None:
             E = sw * np.stack([make_rng(complement.with_stream(
                 replicate=c * DRAW_CHUNK + int(d), layer=l)).standard_normal(
-                    (D, D)) for d in sel])
-        return (*scale_eps(law, epsW[sel], epsb[sel]), E)
+                    (D, D)) for d in picks[c][a:b]])
+        return (*scale_eps(law, epsW[kept], epsb[kept]), E)
 
     def step(x, eps, l):
         sW, sb, E = eps

@@ -210,16 +210,17 @@ def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
                cols: int | None = None):
     """Draw ``n`` independent (epsW, epsb) noise pairs for one layer stream.
 
-    Every law reads one block of normals, draw by draw, so the first m
-    pairs of a call do not depend on ``n``. Shapes: epsW (n, D, D), epsb
-    (n, D). For the general and matrix-normal laws the returned noises
-    already carry their configured covariance; for the fully i.i.d. law
-    they are standard normal. The i.i.d. and matrix-normal laws read the
-    same (n, D, D + 1) block, whose last column is the bias, so an i.i.d.
-    law and its matrix-normal twin draw the same bits. ``cols`` = K asks
-    for the projected sampler's i.i.d. noise instead: the views z[:, :K]
-    (n, K, D) and z[:, K] (n, D) of one rows-first (n, K + 1, D) block, so
-    each draw's rows are contiguous.
+    Every law reads one block of normals, draw by draw, and applies its
+    factors by one matrix product per draw, so the first m pairs of a call
+    do not depend on ``n``, nor on the pieces a stream is drawn in.
+    Shapes: epsW (n, D, D), epsb (n, D). For the general and matrix-normal
+    laws the returned noises already carry their configured covariance;
+    for the fully i.i.d. law they are standard normal. The i.i.d. and
+    matrix-normal laws read the same (n, D, D + 1) block, whose last
+    column is the bias, so an i.i.d. law and its matrix-normal twin draw
+    the same bits. ``cols`` = K asks for the projected sampler's i.i.d.
+    noise instead: the views z[:, :K] (n, K, D) and z[:, K] (n, D) of one
+    rows-first (n, K + 1, D) block, so each draw's rows are contiguous.
     """
     D = law.dim
     if cols is not None:
@@ -228,17 +229,18 @@ def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
         z = rng.standard_normal((n, cols + 1, D))
         return z[:, :cols], z[:, cols]
     if isinstance(law, GeneralGaussianLaw):
-        z = rng.standard_normal((n, D * D + D))
-        vec = z[:, :D * D] @ law.weight_factor.T
+        z = rng.standard_normal((n, D * D + D, 1))
+        vec = law.weight_factor @ z[:, :D * D]
         # invert column stacking: flat index d + i*D -> entry (d, i)
         epsW = vec.reshape(n, D, D).transpose(0, 2, 1)
-        return epsW, z[:, D * D:] @ law.bias_factor.T
+        return epsW, (law.bias_factor @ z[:, D * D:])[..., 0]
     if not isinstance(law, (FullyIidLaw, MatrixNormalLaw)):
         raise ConfigError(f"unknown parameter law {type(law).__name__}")
     z = rng.standard_normal((n, D, D + 1))
     epsW, epsb = z[..., :D], z[..., D]
     if isinstance(law, MatrixNormalLaw):
-        return law.sigmaWO @ epsW @ law.sigmaWI, epsb @ law.sigmab.T
+        return (law.sigmaWO @ epsW @ law.sigmaWI,
+                (law.sigmab @ z[..., D:])[..., 0])
     return epsW, epsb
 
 

@@ -34,12 +34,8 @@ DRAW_CHUNK = 256
 # ABC arms), so the two sides of each comparison count divergence alike.
 HARD_CAP = 1e6
 
-# Fewest state numbers (rows x N x D) in a row block of its own: below
-# it, the hand-off to a thread costs what the split saves.
-ROW_BLOCK_MIN = 1 << 18
-
-# Most state numbers (rows x N x D) in a row tile of a compute-bound
-# chunk, 1 MiB of float64, so a step's temporaries stay in cache.
+# Most state numbers (rows x N x D) in a row tile, 1 MiB of float64, so a
+# step's temporaries stay in cache.
 ROW_TILE = 1 << 17
 
 
@@ -178,17 +174,21 @@ def _chunks(n_draws: int) -> dict:
 
 
 def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int, rows: dict):
-    """The samplers' ``draw(c, l)``: the layer-l noise pair of chunk c's
-    first ``rows[c]`` draws, drawn by :func:`depthflow.laws.sample_eps` for
-    ``law`` (projected when ``mode`` says so) from the stream
-    ``seed.with_stream(replicate=c, layer=l)``. The draw is
-    prefix-invariant: they are the whole chunk's first rows, bit for
-    bit."""
+    """The samplers' ``draw(c, l, a, b)``: rows a:b of chunk c's layer-l
+    noise pair, drawn by :func:`depthflow.laws.sample_eps` for ``law``
+    (projected when ``mode`` says so) from the stream
+    ``seed.with_stream(replicate=c, layer=l)``, whose generator is kept
+    until row ``rows[c]``. Read in pieces, in row order, they are the rows
+    of one whole call, bit for bit."""
     cols = min(n_inputs, law.dim) if mode == "projected" else None
+    live = {}
 
-    def draw(c, l):
-        rng = make_rng(seed.with_stream(replicate=c, layer=l))
-        return sample_eps(law, rng, rows[c], cols)
+    def draw(c, l, a, b):
+        rng = live.pop((c, l), None) or make_rng(
+            seed.with_stream(replicate=c, layer=l))
+        if b < rows[c]:
+            live[c, l] = rng
+        return sample_eps(law, rng, b - a, cols)
 
     return draw
 
@@ -220,10 +220,10 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     the initial states ``start`` gives.
 
     ``rows`` maps each stream chunk that runs to how many of its first
-    draws run, in the order the chunks run. ``start(c, n)`` returns chunk
-    c's first n initial states, (n, N, D) or an (N, D) array that
-    broadcasts, with ``shape`` = (N, D). ``draw(c, l)`` returns chunk c's
-    layer-l noise for those draws: a tuple of arrays (or None), the first
+    draws run, in the order the chunks run. ``start(c, a, b)`` returns rows
+    a:b of chunk c's initial states, (b - a, N, D) or an (N, D) array that
+    broadcasts, with ``shape`` = (N, D). ``draw(c, l, a, b)`` returns rows
+    a:b of chunk c's layer-l noise: a tuple of arrays (or None), the first
     axis over the draws. ``step(x, eps, l)`` maps (rows, N, D) states to
     the next ones given their noise, with overflow and invalid-value
     warnings off. Rows that go non-finite or whose norm passes
@@ -231,55 +231,51 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     are stored at step 0, every ``store_stride`` steps and the last step,
     at times ``step * dt``: the coordinates ``coords``, or all of them.
 
-    ``start`` is called once per chunk, on this thread, when the chunk's
-    batch starts, and ``draw`` once per (chunk, layer), on a worker thread
-    ahead of the step. How the kernel batches, splits and tiles the rows
-    (README) does not change the output: it is, bit for bit, a serial
-    loop's over ``rows`` that calls ``start`` and then ``draw`` and
-    ``step`` per layer. An exception raised in ``start``, ``draw`` or
-    ``step`` comes out of this call, and the workers are gone on return.
+    ``start`` and ``draw`` are called on worker threads. The calls for one
+    chunk (``start``) or one (chunk, layer) (``draw``) come in row order:
+    the first at row 0, each next one where the last ended, the last
+    ending at ``rows[c]``. The output is, bit for bit, a serial loop's
+    over ``rows`` that calls ``start(c, 0, n)`` and then
+    ``draw(c, l, 0, n)`` and ``step`` per layer. An exception raised in
+    ``start``, ``draw`` or ``step`` comes out of this call, and the
+    workers are gone on return.
 
-    Before it calls ``start`` or allocates anything, the kernel estimates
-    the least the run holds at once. A run that would not fit in physical
-    memory is refused with a :class:`ConfigError` that states both
-    numbers.
+    Before it calls ``start`` or ``draw`` or allocates anything, the kernel
+    estimates the least the run holds at once. A run that would not fit
+    in physical memory is refused with a :class:`ConfigError` that states
+    both numbers.
     """
-    # imported here: the module costs about 10 ms, paid by the first run
-    # instead of every start-up
-    from concurrent.futures import ThreadPoolExecutor
+    # imported here: only the kernel starts threads
+    import threading
 
     N, D = shape
-    # (chunks, draws) of each batch, in the order the chunks run
-    batches = []
-    for c, n in rows.items():
-        if batches and batches[-1][1] + n <= DRAW_CHUNK:
-            chunks, m = batches.pop()
-            batches.append((chunks + (c,), m + n))
-        else:
-            batches.append(((c,), n))
-    pairs = [(b, l) for b in range(len(batches)) for l in range(depth)]
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
-    stored = (sum(rows.values()), N, keep.size,
-              D if coords is None else len(coords))
+    total = sum(rows.values())
+    stored = (total, N, keep.size, D if coords is None else len(coords))
     cpus = _available_cpus()
-    tile = max(1, ROW_TILE // (N * D))
-
-    def split(n, noise_size=0):
-        # (blocks, rows per tile) of a batch of n rows: a compute-bound one
-        # is cut into one block per CPU and tiles; a draw-bound one whole
-        size = n * N * D
-        if size <= noise_size:
-            return 1, max(n, 1)
-        return max(1, min(cpus, n, size // ROW_BLOCK_MIN)), tile
-
-    # float64 numbers held at once, at least: the stored states, the
-    # largest batch's state and, on each block's thread, about four
-    # tile-sized arrays (the increment, the activation output, the new
-    # state, the guard's copy)
-    most = max((n for _, n in batches), default=0)
-    P, _ = split(most)
-    need = 8 * (math.prod(stored) + (most + 4 * P * min(tile, most)) * N * D)
+    # rows per tile: at most ROW_TILE state numbers, in as few rounds of
+    # one tile per worker as that allows, the tiles of a round alike
+    rounds = max(1, -(-total // (cpus * max(1, ROW_TILE // (N * D)))))
+    size = -(-total // (cpus * rounds))
+    # [(c, a, b), ...] per tile: the rows of ``rows`` in order, cut every
+    # ``size`` rows, so a tile may hold rows of several consecutive chunks
+    tiles, row = [], 0
+    for c, n in rows.items():
+        a = 0
+        while a < n:
+            if row % size == 0:
+                tiles.append([])
+            b = min(n, a + size - row % size)
+            tiles[-1].append((c, a, b))
+            row += b - a
+            a = b
+    workers = min(cpus, len(tiles))
+    # float64 numbers held at once, at least: the stored states and, per
+    # worker, four tile-sized arrays (state, increment, step output, guard
+    # copy) and the tile's noise, at least the projected draw's
+    need = 8 * (math.prod(stored)
+                + workers * size * (4 * N * D + (min(N, D) + 1) * D))
     limit = _memory_limit()
     if limit is not None and need > limit:
         raise ConfigError(
@@ -288,82 +284,64 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
             f"inputs, stored steps or a smaller width")
     states = np.empty(stored)
     diverged = np.zeros(stored[:2], dtype=bool)
+    stored_at = {k: i for i, k in enumerate(keep.tolist())}
+    # calls made per tile, the tiles not taken, and the first failure
+    made, order, failed = [0] * len(tiles), iter(range(len(tiles))), []
+    turn = threading.Condition()
 
-    def batch_draw(b, l):
-        parts = [draw(c, l) for c in batches[b][0]]
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(None if e[0] is None else np.concatenate(e)
-                     for e in zip(*parts))
+    def run(t):
+        # call k of a tile is its start (k = 0) or its layer k - 1 draw. A
+        # tile whose first rows continue a chunk of the tile before makes
+        # each call once that tile has made it, so each stream is read in
+        # row order
+        at = slice(t * size, min(total, (t + 1) * size))
+        div = np.zeros((at.stop - at.start, N), dtype=bool)
+        for k in range(depth + 1):
+            with turn:
+                while t and tiles[t][0][1] and made[t - 1] <= k \
+                        and not failed:
+                    turn.wait()
+                if failed:
+                    return
+            parts = [draw(c, k - 1, a, b) if k else start(c, a, b)
+                     for c, a, b in tiles[t]]
+            with turn:
+                made[t] = k + 1
+                turn.notify_all()
+            if k:
+                eps = parts[0] if len(parts) == 1 else tuple(
+                    None if e[0] is None else np.concatenate(e)
+                    for e in zip(*parts))
+                x, div = _freeze_diverged(step(x, eps, k - 1), x, div)
+            else:
+                x = np.concatenate([np.broadcast_to(p, (b - a, N, D))
+                                    for p, (_, a, b) in zip(parts, tiles[t])])
+            if k in stored_at:
+                states[at, :, stored_at[k]] = x[..., store]
+        diverged[at] = div
 
-    # warning state is per thread; the draw and the blocks keep the step's
-    quiet = np.errstate(over="ignore", invalid="ignore")
-    noise = quiet(batch_draw)
+    @np.errstate(over="ignore", invalid="ignore")
+    def work():
+        # each worker takes the next tile and steps it through every layer
+        while True:
+            with turn:
+                t = None if failed else next(order, None)
+            if t is None:
+                return
+            try:
+                run(t)
+            except BaseException as error:
+                with turn:
+                    failed.append(error)
+                    turn.notify_all()
 
-    @quiet
-    def advance(tiles, eps, l, row, kpos):
-        # tiles are [a, b, state] of rows a:b of the batch that starts at
-        # row ``row``; their flags live in diverged
-        for t in tiles:
-            a, b, x = t
-            part = tuple(e if e is None else e[a:b] for e in eps)
-            at = slice(row + a, row + b)
-            t[2], diverged[at] = _freeze_diverged(step(x, part, l), x,
-                                                  diverged[at])
-            if kpos is not None:
-                states[at, :, kpos] = t[2][..., store]
-
-    # one thread makes every draw, in order; the blocks have their own pool
-    with ThreadPoolExecutor(1) as drawer, \
-            ThreadPoolExecutor(max(1, cpus - 1)) as pool:
-        ahead = drawer.submit(noise, *pairs[0]) if pairs else None
-        row, k = 0, 0
-        for chunks, n in batches:
-            eps = ahead.result() if depth else ()
-            P, T = split(n, sum(e.size for e in eps if e is not None))
-            cuts = [n * i // P for i in range(P + 1)]
-            blocks = [[[a, min(a + T, hi), None] for a in range(lo, hi, T)]
-                      for lo, hi in zip(cuts, cuts[1:])]
-            tiles = [t for block in blocks for t in block]
-            # each chunk's initial states are copied into the tiles they
-            # fall in, so the batch holds one chunk's start array at a time.
-            # A tile is allocated when its first rows arrive: allocating
-            # every tile before the first start put corr_heatmap's peak RSS
-            # 2.6 MB higher (glibc heap layout)
-            first = 0
-            for c in chunks:
-                last = first + rows[c]
-                x = np.broadcast_to(start(c, rows[c]), (rows[c], N, D))
-                states[row + first:row + last, :, 0] = x[..., store]
-                for t in tiles:
-                    a, b, _ = t
-                    lo, hi = max(a, first), min(b, last)
-                    if lo < hi:
-                        if t[2] is None:
-                            t[2] = np.empty((b - a, N, D))
-                        t[2][lo - a:hi - a] = x[lo - first:hi - first]
-                first = last
-                del x
-            kpos = 1
-            for l in range(depth):
-                # rebound before the next draw starts, so the last layer's
-                # noise is freed first and the drawer reuses its memory
-                eps = ahead.result()
-                k += 1
-                if k < len(pairs):
-                    ahead = drawer.submit(noise, *pairs[k])
-                save = kpos if kpos < keep.size and keep[kpos] == l + 1 \
-                    else None
-                running = [pool.submit(advance, block, eps, l, row, save)
-                           for block in blocks[1:]]
-                advance(blocks[0], eps, l, row, save)
-                for future in running:
-                    future.result()
-                kpos += save is not None
-            # freed before the next batch's state is built
-            del blocks, tiles
-            row += n
-
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise failed[0]
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
 
@@ -394,7 +372,7 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
         return y
 
     rows = _chunks(n_draws)
-    return _propagate(lambda c, n: x0_batch, (N, D), rows, config.depth, dt,
+    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, config.depth, dt,
                       step, _stream_draw(seed, law, mode, N, rows),
                       store_stride=store_stride, coords=coords)
 
@@ -430,7 +408,7 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
         return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
 
     rows = _chunks(n_draws)
-    return _propagate(lambda c, n: x0_batch, (N, D), rows, cfg.depth, 1.0,
+    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, cfg.depth, 1.0,
                       step, _stream_draw(seed, law, mode, N, rows),
                       coords=coords)
 

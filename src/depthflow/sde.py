@@ -120,7 +120,8 @@ def _batched_drift(coeffs: SdeCoefficients,
 
 def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
                    T: float, n_draws: int, seed: SeedSpec,
-                   store_stride: int | None = None) -> PathBatch:
+                   store_stride: int | None = None,
+                   coords: list | None = None) -> PathBatch:
     """Coupled Euler-Maruyama simulation over L steps of size T/L.
 
     Each step is the residual step x + phi(h) to second order,
@@ -128,7 +129,7 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
     increment h (:func:`depthflow.resnet._layer_increment`), so the mean
     term of the drift rides in h. Diverged trajectories (non-finite or
     with norm above :data:`depthflow.resnet.HARD_CAP`) are flagged and
-    frozen.
+    frozen. Only the coordinates ``coords`` are stored, or all of them.
     """
     if L < 1:
         raise ConfigError("L must be >= 1")
@@ -153,9 +154,9 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
         return h
 
     rows = _chunks(n_draws)
-    return _propagate(lambda c, n: x0_batch, (N, D), rows, L, dt, step,
+    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, L, dt, step,
                       _stream_draw(seed, law, mode, N, rows),
-                      store_stride=store_stride)
+                      store_stride=store_stride, coords=coords)
 
 
 def linear_growth_check(coeffs: SdeCoefficients,

@@ -262,19 +262,17 @@ def test_kernel_matches_serial_loop(monkeypatch, spec, z_obs, capped):
 
 
 def test_pass_two_row_blocks_match_serial_loop(monkeypatch):
-    # 3 CPUs and any block size: with 22 inputs of width 8 per kept draw
-    # against 8 x (1 + 1 + 8) noise numbers, each chunk of pass 2 is split
+    # 3 CPUs: pass 2's 600 rows are cut into tiles of 200 rows at most,
+    # which 3 workers step, the tiles of one chunk reading its streams in
+    # turn
+    from test_resnet import meeting_spy
+
     monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
-    monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
     threads = set()
-
-    def spy(*args, **kwargs):
-        threads.add(threading.get_ident())
-        return _freeze_diverged(*args, **kwargs)
-
     z, seed = np.array([2.0]), SeedSpec(41, "abc")
     grid = np.linspace(-2.0, 2.0, 21)
-    monkeypatch.setattr("depthflow.resnet._freeze_diverged", spy)
+    monkeypatch.setattr("depthflow.resnet._freeze_diverged",
+                        meeting_spy(_freeze_diverged, threads))
     got = _abc_outputs(SWISH_CAP, z, seed, 600, select=select_all(600),
                        z_grid=grid)
     assert len(threads) > 1

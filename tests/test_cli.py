@@ -627,8 +627,9 @@ class TestCliEntry:
         # at input 1.0, some SDE draws diverge and the rest do not
         batches = {}
         for name in ("resnet_forward", "simulate_paths"):
-            def spy(*args, _name=name, _fn=getattr(experiments, name)):
-                batches[_name] = _fn(*args)
+            def spy(*args, _name=name, _fn=getattr(experiments, name),
+                    **kwargs):
+                batches[_name] = _fn(*args, **kwargs)
                 return batches[_name]
             monkeypatch.setattr(experiments, name, spy)
         raw = tiny_overrides("sanity_check", tmp_path / "o")

@@ -150,6 +150,34 @@ class TestSampling:
         assert not np.array_equal(l0[0], l1[0])
         assert not np.array_equal(l0[1], l1[1])
 
+    @pytest.mark.parametrize("law_kind, D, cols", [
+        ("iid", 32, 3),            # projected
+        ("iid", 32, None),         # materialized
+        ("matrix_normal", 32, None),
+        ("general", 4, None)])
+    def test_rows_drawn_in_pieces_are_one_call(self, law_kind, D, cols):
+        # the kernel's tiles read a (chunk, layer) stream in pieces, in
+        # row order, from one generator; every law must give the bits of
+        # one whole call
+        rng = np.random.default_rng(11)
+        if law_kind == "iid":
+            law = FullyIidLaw(sigma_w=1.3, sigma_b=0.7, dim=D)
+        elif law_kind == "matrix_normal":
+            law = MatrixNormalLaw(
+                muW=np.zeros((D, D)), mub=np.zeros(D),
+                sigmaWO=rng.standard_normal((D, D)),
+                sigmaWI=rng.standard_normal((D, D)),
+                sigmab=rng.standard_normal((D, D)))
+        else:
+            law = make_general_law(D=D)
+        seed = SeedSpec(0, "pieces")
+        whole = sample_eps(law, make_rng(seed), 256, cols)
+        stream = make_rng(seed)
+        pieces = [sample_eps(law, stream, n, cols) for n in (5, 1, 250)]
+        for k in range(2):
+            assert np.array_equal(whole[k],
+                                  np.concatenate([p[k] for p in pieces]))
+
     @pytest.mark.parametrize("law_kind, cols", [
         ("iid", None),
         # the projected draw's two arrays are views into one block

@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -16,10 +17,10 @@ from depthflow.activations import IDENTITY, RELU, SWISH, TANH
 from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
-from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_BLOCK_MIN, ROW_TILE,
-                              PathBatch, _batched_psd_factor, _chunks,
-                              _freeze_diverged, _layer_increment, _propagate,
-                              _store_plan, _stream_draw, choose_sampler)
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_TILE, PathBatch,
+                              _batched_psd_factor, _chunks, _freeze_diverged,
+                              _layer_increment, _propagate, _store_plan,
+                              _stream_draw, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -443,11 +444,11 @@ def serial_propagate(start, shape, rows, depth, dt, step, draw,
     keep = _store_plan(depth, store_stride)
     states, diverged = [], []
     for c, n in rows.items():
-        x = np.broadcast_to(start(c, n), (n, N, D)).copy()
+        x = np.broadcast_to(start(c, 0, n), (n, N, D)).copy()
         div = np.zeros((n, N), dtype=bool)
         trail = [x]
         for l in range(depth):
-            eps = draw(c, l)
+            eps = draw(c, l, 0, n)
             with np.errstate(over="ignore", invalid="ignore"):
                 x_new = step(x, eps, l)
             x, div = _freeze_diverged(x_new, x, div)
@@ -458,16 +459,36 @@ def serial_propagate(start, shape, rows, depth, dt, step, draw,
                      diverged=np.concatenate(diverged))
 
 
+def meeting_spy(fn, threads):
+    """``fn``, recording in ``threads`` the threads that call it. A
+    thread's first call waits, for up to 10 s, until a second thread has
+    called too, so workers that share the tiles show at least two threads
+    however the host schedules them."""
+    lock, met = threading.Lock(), threading.Event()
+
+    def spy(*args, **kwargs):
+        with lock:
+            first = threading.get_ident() not in threads
+            threads.add(threading.get_ident())
+            if len(threads) > 1:
+                met.set()
+        if first:
+            met.wait(10)
+        return fn(*args, **kwargs)
+
+    return spy
+
+
 def starts_from(x0, rows):
     """A ``start`` that hands out the (draws, N, D) rows of ``x0`` to the
     chunks of ``rows``, in their order."""
     offset = dict(zip(rows, np.cumsum([0, *rows.values()]).tolist()))
-    return lambda c, n: x0[offset[c]:offset[c] + n]
+    return lambda c, a, b: x0[offset[c] + a:offset[c] + b]
 
 
 class TestNoiseLookahead:
-    """The kernel draws the next (chunk, layer)'s noise on a worker thread
-    while the current layer computes."""
+    """Each worker draws its own tile's noise before each step, so the
+    draws and steps of different tiles overlap."""
 
     @staticmethod
     def run(sampler, noise, law_kind="iid"):
@@ -548,6 +569,7 @@ class TestNoiseLookahead:
         assert np.array_equal(got.x0, x0[..., [0, 4]])
 
     def test_draw_failure_raised_and_worker_stopped(self, monkeypatch):
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
         model = iid_model(4, 8)
         x0 = np.ones((2, 8))
         before = threading.active_count()
@@ -571,8 +593,8 @@ class TestNoiseLookahead:
             resnet_forward(model, x0, 300, SeedSpec(59, "ahead/fail"))
         assert info.value is error
         assert threading.active_count() == before
-        # one worker made every draw, off the calling thread
-        assert len(drawers) == 1
+        # the workers made the draws, off the calling thread
+        assert 1 <= len(drawers) <= 3
         assert threading.current_thread() not in drawers
 
         monkeypatch.undo()
@@ -609,33 +631,28 @@ class TestNoiseLookahead:
 
 
 class TestRowBlocks:
-    """A compute-bound layer's rows are stepped in blocks, one per CPU;
-    the CPU count is 3 here and any block size will do, so the blocks run
-    on any host at small shapes."""
+    """The rows are cut into tiles, at least one per worker when the rows
+    allow, and one worker per CPU steps them at once; the CPU count is 3
+    here, so the tiles run on several threads on any host."""
 
     @pytest.fixture(autouse=True)
     def three_cpus(self, monkeypatch):
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
-        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
 
     @pytest.fixture
     def step_threads(self, monkeypatch):
         """The threads that ran a layer increment, in each step."""
         seen = set()
-
-        def spy(*args, **kwargs):
-            seen.add(threading.get_ident())
-            return _layer_increment(*args, **kwargs)
-
+        spy = meeting_spy(_layer_increment, seen)
         monkeypatch.setattr("depthflow.resnet._layer_increment", spy)
         monkeypatch.setattr("depthflow.sde._layer_increment", spy)
         return seen
 
     @staticmethod
     def run(sampler, N, D):
-        # 600 draws: two whole chunks and a partial one, each cut into 3
-        # blocks. At these scales some draws but not all pass the cap
-        # (swish, and relu at sigma_w2 = 3000).
+        # 600 draws: two whole chunks and a partial one, cut into tiles of
+        # at most 200 rows. At these scales some draws but not all pass
+        # the cap (swish, and relu at sigma_w2 = 3000).
         x0 = np.linspace(-1.0, 1.0, N)[:, None] * np.ones(D)
         seed = SeedSpec(73, f"blocks/{sampler}")
         if sampler == "feedforward":
@@ -654,9 +671,10 @@ class TestRowBlocks:
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
     def test_blocks_match_serial_loop(self, monkeypatch, step_threads,
                                       sampler):
-        # N > D + 1: the (N, D) state outweighs the D x D + D noise. The
-        # threads switch often, so a block that read or wrote another's
-        # rows would show.
+        # 30 tiles of 20 rows. The threads switch often, so a tile that
+        # read or wrote another's rows, or read a stream out of row order,
+        # would show.
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 20 * 9 * 4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -673,58 +691,92 @@ class TestRowBlocks:
         assert np.array_equal(got.times, want.times)
 
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
-    def test_projected_layers_are_not_split(self, step_threads, sampler):
-        # N = 2 at D = 8 is projected: D x (2 + 1) normals per draw against
-        # 2 x D state numbers
-        self.run(sampler, 2, 8)
-        assert step_threads == {threading.get_ident()}
+    def test_projected_layers_are_not_split(self, monkeypatch, sampler):
+        # N = 2 at D = 8 is projected; 3 tiles of 200 rows, two of which
+        # span a chunk boundary. No layer of a tile is split between calls
+        # or threads: a worker draws each layer for all the tile's rows and
+        # takes the tile through all 4 layers before it takes the next
+        calls = []
 
-    @pytest.mark.parametrize("rows, N, D, blocks, tiles", [
-        (DRAW_CHUNK, 2, 64, 1, 1),    # sanity_check, projected
-        (DRAW_CHUNK, 21, 64, 1, 3),   # corr_heatmap
+        def stream_spy(*args):
+            draw = _stream_draw(*args)
+
+            def spy(c, l, a, b):
+                calls.append((threading.get_ident(), l, (c, a, b)))
+                return draw(c, l, a, b)
+
+            return spy
+
+        monkeypatch.setattr("depthflow.resnet._stream_draw", stream_spy)
+        monkeypatch.setattr("depthflow.sde._stream_draw", stream_spy)
+        self.run(sampler, 2, 8)
+        assert threading.get_ident() not in {t for t, _, _ in calls}
+        tiles = []
+        for thread in {t for t, _, _ in calls}:
+            layers = {}
+            for t, l, piece in calls:
+                if t != thread:
+                    continue
+                if layers and l < max(layers):
+                    tiles.append(layers)
+                    layers = {}
+                layers.setdefault(l, []).append(piece)
+            tiles.append(layers)
+        for layers in tiles:
+            assert list(layers) == [0, 1, 2, 3]
+            assert all(layers[l] == layers[0] for l in layers)
+        assert sorted(layers[0] for layers in tiles) == [
+            [(0, 0, 200)], [(0, 200, 256), (1, 0, 144)],
+            [(1, 144, 256), (2, 0, 88)]]
+
+    @pytest.mark.parametrize("rows, N, D, tiles", [
+        (DRAW_CHUNK, 2, 64, [128] * 2),        # sanity_check, projected
+        (DRAW_CHUNK, 21, 64, [64] * 4),        # corr_heatmap
         # ABC's pass 2 at desk scale, one packed batch: 30 prior functions
         # and 10 kept draws
-        (40, 404, 32, 1, 4),
-        (128, 400, 64, 2, 26),        # function_space: 13 tiles per block
+        (40, 404, 32, [10] * 4),
+        (128, 400, 64, [5] * 25 + [3]),        # function_space
     ], ids=["sanity", "corr", "abc", "fspace"])
     def test_block_floor_at_desk_shapes(self, monkeypatch, rows, N, D,
-                                        blocks, tiles):
-        # With no noise to weigh against, the floor alone decides: on 2
-        # CPUs only function_space's chunk holds two blocks of
-        # ROW_BLOCK_MIN state numbers. Each layer steps every tile of
-        # ROW_TILE state numbers once.
+                                        tiles):
+        # The plan's floor: on 2 CPUs each worker gets a tile at least, so
+        # sanity's chunk is cut although one tile would hold its 256 rows.
+        # Beyond it, a tile holds at most ROW_TILE state numbers, in as few
+        # rounds of 2 tiles as that allows: corr's 97 rows a tile take 2
+        # rounds, so 4 tiles of 64. Each layer steps every tile once, off
+        # this thread.
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
-        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", ROW_BLOCK_MIN)
-        threads, layers = set(), []
+        threads, steps = set(), []
 
         def step(x, eps, l):
             threads.add(threading.get_ident())
-            layers.append(l)
+            steps.append((l, x.shape[0]))
             return x
 
-        _propagate(lambda c, n: np.zeros((N, D)), (N, D), {0: rows}, 2, 1.0,
-                   step, lambda c, l: ())
-        assert len(threads) == blocks
-        assert layers.count(0) == layers.count(1) == tiles
+        _propagate(lambda c, a, b: np.zeros((N, D)), (N, D), {0: rows}, 2,
+                   1.0, step, lambda c, l, a, b: ())
+        assert 1 <= len(threads) <= 2
+        assert threading.get_ident() not in threads
+        for l in range(2):
+            assert sorted(n for k, n in steps if k == l) == sorted(tiles)
 
     @staticmethod
     def propagate(step):
-        # one noise number per draw: every chunk is split
+        # one noise number per draw; tiles of at most 200 rows
         rows = _chunks(600)
 
-        def draw(c, l):
-            return (np.full((rows[c], 1, 1), float(l)),)
+        def draw(c, l, a, b):
+            return (np.full((b - a, 1, 1), float(l)),)
 
-        return _propagate(lambda c, n: np.ones((3, 2)), (3, 2), rows, 4, 1.0,
-                          step, draw)
+        return _propagate(lambda c, a, b: np.ones((3, 2)), (3, 2), rows, 4,
+                          1.0, step, draw)
 
     def test_block_failure_raised_and_workers_stopped(self):
         before = threading.active_count()
-        error = RuntimeError("block failed at layer 2")
+        error = RuntimeError("tile failed at layer 2")
 
         def step(x, eps, l):
-            if l == 2 and threading.current_thread() is not \
-                    threading.main_thread():
+            if l == 2:
                 raise error
             return x + eps[0]
 
@@ -751,16 +803,15 @@ class TestRowBlocks:
 
 
 class TestRowTiles:
-    """Each thread steps its rows in tiles of at most ROW_TILE state
-    numbers, and keeps every tile's state for the whole chunk."""
+    """A tile holds at most ROW_TILE state numbers, and the kernel holds
+    no state but its tiles' and the stored states."""
 
     @pytest.fixture
     def small_tiles(self, monkeypatch):
-        # 250 numbers: 6 rows at N = 9, D = 4 (1 block of 256 rows is 42
-        # whole tiles and a short one), 41 rows at N = 3, D = 2; any block
-        # size will do
+        # 250 numbers: 6 rows at N = 9, D = 4, so 600 rows are 100 tiles
+        # and tiles 42 and 85 span a chunk boundary; 40 rows of 41 at
+        # N = 3, D = 2 on 3 CPUs (15 tiles, 5 rounds)
         monkeypatch.setattr("depthflow.resnet.ROW_TILE", 250)
-        monkeypatch.setattr("depthflow.resnet.ROW_BLOCK_MIN", 1)
 
     @pytest.fixture
     def tile_rows(self, monkeypatch):
@@ -780,8 +831,7 @@ class TestRowTiles:
                                      tile_rows, sampler, cpus):
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: cpus)
         got = TestRowBlocks.run(sampler, 9, 4)
-        # every block ends in a short tile
-        assert max(tile_rows) == 6 and min(tile_rows) < 6
+        assert tile_rows == [6] * 4 * 100
         monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
         monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
         want = TestRowBlocks.run(sampler, 9, 4)
@@ -791,15 +841,15 @@ class TestRowTiles:
         assert np.array_equal(got.times, want.times)
 
     @pytest.mark.parametrize("sampler", ["resnet", "sde", "feedforward"])
-    def test_draw_bound_chunks_are_stepped_whole(self, monkeypatch,
+    def test_projected_chunks_are_cut_into_tiles(self, monkeypatch,
                                                  small_tiles, tile_rows,
                                                  sampler):
-        # N = 2 at D = 8 is projected: D x (2 + 1) normals per draw against
-        # 2 x D state numbers, so the draw is the bottleneck and each chunk
-        # is one tile, however small the tiles
+        # N = 2 at D = 8 is projected, and its rows are cut like any
+        # other's: 15 rows of 16 state numbers a tile, so 600 rows are 40
+        # tiles, 14 rounds of 3 tiles at most
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
         TestRowBlocks.run(sampler, 2, 8)
-        assert set(tile_rows) == {DRAW_CHUNK, 600 - 2 * DRAW_CHUNK}
+        assert tile_rows == [15] * 4 * 40
 
     def test_abc_pass_two_tiles_match_serial_loop(self, monkeypatch,
                                                   small_tiles, tile_rows):
@@ -819,8 +869,9 @@ class TestRowTiles:
 
     def test_tile_failure_raised_and_workers_stopped(self, monkeypatch,
                                                      small_tiles):
-        # the short last tile of a block on a worker fails, after that
-        # block's whole tiles have stepped
+        # a tile that spans two chunks (rows 240:280 or 480:520) fails at
+        # layer 2; each chunk starts from its own state, so the tile's rows
+        # differ
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
         before = threading.active_count()
         error = RuntimeError("tile failed at layer 2")
@@ -828,22 +879,25 @@ class TestRowTiles:
 
         def step(x, eps, l):
             tiles.append(x.shape[0])
-            if l == 2 and x.shape[0] < 41 and threading.current_thread() \
-                    is not threading.main_thread():
+            if l == 2 and x.min() != x.max():
                 raise error
             return x + eps[0]
 
+        def draw(c, l, a, b):
+            return (np.full((b - a, 1, 1), float(l)),)
+
         with pytest.raises(RuntimeError) as info:
-            TestRowBlocks.propagate(step)
+            _propagate(lambda c, a, b: np.full((3, 2), float(c)), (3, 2),
+                       _chunks(600), 4, 1.0, step, draw)
         assert info.value is error
-        assert 41 in tiles
+        assert set(tiles) == {40}
         assert threading.active_count() == before
 
     def test_peak_memory_at_fspace_chunk(self, monkeypatch):
-        # function_space's chunk on 2 CPUs. Beyond the chunk's state and
-        # two layers' noise (the one stepped and the one drawn ahead) the
-        # kernel holds tile-sized arrays only; chunk-sized temporaries
-        # would add 13 MB each.
+        # function_space's chunk on 2 CPUs. Beyond the stored states the
+        # kernel holds a few tile-sized arrays on each worker (the state,
+        # the increment, the step's output) and the tile's noise; the
+        # chunk's state alone would add 26 MB.
         monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
         rows, N, D = 128, 400, 64
         x0 = np.linspace(-2.0, 2.0, N)[:, None] * np.ones(D)
@@ -856,14 +910,36 @@ class TestRowTiles:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        state = rows * N * D * 8
-        noise = rows * (D * D + D) * 8
-        assert peak < state + 2 * noise + 8 * ROW_TILE * 8
+        stored = rows * N * 2 * 8
+        assert peak < stored + 2 * 5 * ROW_TILE * 8
+
+    def test_memory_estimate_counts_tiles(self, monkeypatch):
+        # an fspace-shaped run on 2 CPUs: the kernel counts the stored
+        # states and each worker's tile, about 9.3 MB, not the whole
+        # chunk's state (35.2 MB when it did), so a 20 MB limit lets it run
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 2)
+        monkeypatch.setattr("depthflow.resnet._memory_limit",
+                            lambda: 20_000_000)
+        rows, N, D = 128, 400, 64
+        x0 = np.linspace(-2.0, 2.0, N)[:, None] * np.ones(D)
+        batch = resnet_forward(iid_model(1, D), x0, rows,
+                               SeedSpec(79, "tiles/limit"), coords=[0])
+        assert batch.states.shape == (rows, N, 2, 1)
+        monkeypatch.setattr("depthflow.resnet._memory_limit",
+                            lambda: 9_000_000)
+        with pytest.raises(ConfigError, match="the 9000000 bytes"):
+            resnet_forward(iid_model(1, D), x0, rows,
+                           SeedSpec(79, "tiles/limit"), coords=[0])
 
 
 class TestBatchPacking:
-    """Consecutive chunks of ``rows`` are stepped as one batch while it
-    holds at most DRAW_CHUNK draws."""
+    """Consecutive chunks of ``rows`` are packed into one tile while it
+    holds at most ROW_TILE state numbers. One CPU here, so the plan needs
+    no tile per worker."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 1)
 
     @pytest.fixture
     def batch_rows(self, monkeypatch):
@@ -878,10 +954,8 @@ class TestBatchPacking:
         return seen
 
     def test_packed_batches_match_serial_loop(self, batch_rows):
-        # 30 + 2 draws fill one batch; 250 and then 7 would overflow it.
-        # N = 3 at D = 6 is projected and draw-bound, so each batch is
-        # stepped whole. The draw's last entry is None, as in ABC's first
-        # pass.
+        # 30 + 2 + 250 + 7 draws of 18 state numbers fill one tile. The
+        # draw's last entry is None, as in ABC's first pass.
         D, depth = 6, 5
         rows = {0: 30, 1: 2, 2: 250, 3: 7}
         x0 = np.random.default_rng(5).standard_normal((289, 3, D)) * 4.0
@@ -889,8 +963,8 @@ class TestBatchPacking:
         full = _stream_draw(SeedSpec(83, "pack/rows"), law, "projected", 3,
                             rows)
 
-        def draw(c, l):
-            return (*full(c, l), None)
+        def draw(c, l, a, b):
+            return (*full(c, l, a, b), None)
 
         def step(x, eps, l):
             return x + SWISH(_layer_increment(law, eps[:2], x, "projected",
@@ -899,7 +973,7 @@ class TestBatchPacking:
         args = (starts_from(x0, rows), (3, D), rows, depth, 1.0, step, draw,
                 1)
         got = _propagate(*args)
-        assert batch_rows == [32] * depth + [250] * depth + [7] * depth
+        assert batch_rows == [289] * depth
         want = serial_propagate(*args)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -913,8 +987,8 @@ class TestBatchPacking:
         from depthflow.experiments import ModelSpec, _abc_outputs
 
         # the shipped abc_regression model, at depth 3, and grid at 1280
-        # prior draws: 30 prior functions and 10 kept draws over 5 chunks. One tile per
-        # batch, so each step the spy sees is a whole batch.
+        # prior draws: 30 prior functions and 10 kept draws over 5 chunks,
+        # all in one tile
         monkeypatch.setattr("depthflow.resnet.ROW_TILE", 1 << 30)
         spec = ModelSpec(kind="diffusion", activation="tanh", sigma_w2=10.0,
                          sigma_b2=10.0, depth=3, width=32)
@@ -929,27 +1003,36 @@ class TestBatchPacking:
 
 
 class TestInitialStates:
-    """The kernel asks ``start(c, n)`` for chunk c's initial states when
-    the chunk's batch starts, and drops them once its tiles hold copies."""
+    """A tile asks ``start(c, a, b)`` for its rows of each chunk as it
+    starts, and drops them once its state holds copies."""
 
-    def test_start_is_called_as_each_batch_starts(self):
-        # the packing of TestBatchPacking: 30 + 2 draws fill one batch,
-        # 250 and then 7 would overflow it, and every batch is stepped
-        # whole. Chunk 1 starts its draws from one (N, D) state, the
-        # others each draw from its own.
+    def test_start_is_called_as_each_batch_starts(self, monkeypatch):
+        # the packing of TestBatchPacking on one CPU, in tiles of at most
+        # 100 rows: 3 tiles of 97 rows at most, [0: 30, 1: 2, 2: 0..65],
+        # [2: 65..162] and [2: 162..250, 3: 7], so chunk 2 is read in
+        # three pieces. Chunk 1 starts its
+        # draws from one (N, D) state, the others each draw from its own.
+        # A tile draws each layer's noise for its rows, then steps it.
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 100 * 3 * 6)
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 1)
         D, depth = 6, 5
         rows = {0: 30, 1: 2, 2: 250, 3: 7}
         law = FullyIidLaw(sigma_w=16.0, sigma_b=16.0, dim=D)
-        draw = _stream_draw(SeedSpec(97, "start/rows"), law, "projected", 3,
-                            rows)
-        events, refs, held = [], [], []
+        noise = _stream_draw(SeedSpec(97, "start/rows"), law, "projected", 3,
+                             rows)
+        events, refs, held, streams = [], [], [], {}
 
-        def start(c, n):
-            events.append(("start", c, n))
-            x = np.random.default_rng(c).standard_normal(
-                (3, D) if c == 1 else (n, 3, D)) * 4.0
+        def start(c, a, b):
+            # each chunk's states come from its own stream, read in pieces
+            events.append(("start", c, a, b))
+            rng = streams.setdefault(c, np.random.default_rng(c))
+            x = rng.standard_normal((3, D) if c == 1 else (b - a, 3, D)) * 4.0
             refs.append(weakref.ref(x))
             return x
+
+        def draw(c, l, a, b):
+            events.append(("draw", c, l, a, b))
+            return noise(c, l, a, b)
 
         def step(x, eps, l):
             events.append(("step", l, x.shape[0]))
@@ -959,14 +1042,22 @@ class TestInitialStates:
         args = (start, (3, D), rows, depth, 1.0, step, draw, 1)
         got = _propagate(*args)
         layers = range(depth)
-        assert events == [("start", 0, 30), ("start", 1, 2),
-                          *[("step", l, 32) for l in layers],
-                          ("start", 2, 250),
-                          *[("step", l, 250) for l in layers],
-                          ("start", 3, 7),
-                          *[("step", l, 7) for l in layers]]
-        # no start array outlives the copy its batch's tiles take
+        assert events == [
+            ("start", 0, 0, 30), ("start", 1, 0, 2), ("start", 2, 0, 65),
+            *[e for l in layers for e in (("draw", 0, l, 0, 30),
+                                          ("draw", 1, l, 0, 2),
+                                          ("draw", 2, l, 0, 65),
+                                          ("step", l, 97))],
+            ("start", 2, 65, 162),
+            *[e for l in layers for e in (("draw", 2, l, 65, 162),
+                                          ("step", l, 97))],
+            ("start", 2, 162, 250), ("start", 3, 0, 7),
+            *[e for l in layers for e in (("draw", 2, l, 162, 250),
+                                          ("draw", 3, l, 0, 7),
+                                          ("step", l, 95))]]
+        # no start array outlives the copy its tile takes
         assert held == [0] * 3 * depth
+        streams.clear()
         want = serial_propagate(*args)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -974,20 +1065,132 @@ class TestInitialStates:
         assert np.array_equal(got.times, want.times)
 
     def test_start_failure_raised_and_workers_stopped(self):
-        # chunk 1's start fails after chunk 0 has stepped, while the
-        # drawer has chunk 1's first layer in hand
+        # chunk 1's start fails, while chunk 0's tiles step
         before = threading.active_count()
         error = RuntimeError("start failed at chunk 1")
 
-        def start(c, n):
+        def start(c, a, b):
             if c == 1:
                 raise error
             return np.ones((3, 2))
 
         with pytest.raises(RuntimeError) as info:
             _propagate(start, (3, 2), _chunks(600), 4, 1.0,
-                       lambda x, eps, l: x, lambda c, l: ())
+                       lambda x, eps, l: x, lambda c, l, a, b: ())
         assert info.value is error
+        assert threading.active_count() == before
+
+
+class TestTileStreams:
+    """The tiles of one chunk read its (chunk, layer) streams in turn, in
+    row order, so one chunk runs on several workers at once."""
+
+    @staticmethod
+    def run(sampler, law_kind):
+        # 250 draws, one chunk: in tiles of 10 rows below, 25 tiles. Some
+        # draws but not all pass the cap (swish, and relu at sigma_w2 =
+        # 3000). "materialized" takes the i.i.d. law's matrix-normal twin,
+        # or 5 feedforward inputs at D = 8
+        D, depth, n = 8, 4, 250
+        x0 = np.vstack([np.full(D, -0.5), np.full(D, 1.0)])
+        seed = SeedSpec(103, f"tiles/{sampler}/{law_kind}")
+        if sampler == "feedforward":
+            if law_kind == "materialized":
+                x0 = np.vstack([x0, np.outer([0.25, -1.0, 2.0], np.ones(D))])
+            cfg = FeedforwardConfig(depth=depth, width=D, sigma_w2=3000.0,
+                                    sigma_b2=1.0, activation=RELU)
+            return feedforward_forward(cfg, x0, n, seed)
+        scale, horizon = (4.0, 2.0) if sampler == "sde" else (16.0, 16.0)
+        law = FullyIidLaw(sigma_w=scale, sigma_b=scale, dim=D)
+        if law_kind == "materialized":
+            law = iid_twin(law)
+        elif law_kind == "general":
+            # the twin's covariance, with a mean drift: D^2 x D^2 factors
+            twin = iid_twin(law)
+            rng = np.random.default_rng(7)
+            law = GeneralGaussianLaw(
+                muW=rng.standard_normal((D, D)), mub=rng.standard_normal(D),
+                SigmaW=np.kron(twin.SigmaWI, twin.SigmaWO),
+                Sigmab=twin.Sigmab)
+        if sampler == "sde":
+            return simulate_paths(SdeCoefficients(law, SWISH, IDENTITY), x0,
+                                  depth, horizon, n, seed, store_stride=1)
+        model = ModelConfig(depth=depth, width=D, horizon=horizon, phi=SWISH,
+                            psi=IDENTITY, law=law)
+        return resnet_forward(model, x0, n, seed, store_stride=1)
+
+    @pytest.mark.parametrize("sampler, law_kind", [
+        ("resnet", "projected"), ("resnet", "materialized"),
+        ("resnet", "general"), ("sde", "projected"),
+        ("sde", "materialized"), ("sde", "general"),
+        ("feedforward", "projected"), ("feedforward", "materialized")])
+    def test_tiles_of_one_chunk_match_serial_loop(self, monkeypatch,
+                                                  sampler, law_kind):
+        # 3 workers on tiles of 10 rows; the threads switch often, so a
+        # tile that read a stream out of turn would show
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        N = 5 if (sampler, law_kind) == ("feedforward", "materialized") \
+            else 2
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 10 * N * 8)
+        threads, tiles = set(), []
+
+        def spy(x_new, *args, **kwargs):
+            tiles.append(x_new.shape[0])
+            return _freeze_diverged(x_new, *args, **kwargs)
+
+        monkeypatch.setattr("depthflow.resnet._freeze_diverged",
+                            meeting_spy(spy, threads))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = self.run(sampler, law_kind)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) > 1
+        assert tiles == [10] * 100
+        monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
+        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
+        want = self.run(sampler, law_kind)
+        assert want.diverged.any() and not want.diverged.all()
+        assert np.array_equal(got.states, want.states)
+        assert np.array_equal(got.diverged, want.diverged)
+        assert np.array_equal(got.times, want.times)
+
+    def test_failure_while_the_next_tile_waits(self, monkeypatch):
+        # one chunk of 6 rows, in tiles of one row on 3 workers. Tile 1
+        # fails in its layer-2 step once tile 2 has stepped layer 2 and so
+        # waits for tile 1's layer-3 draw, which never comes
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 3)
+        monkeypatch.setattr("depthflow.resnet.ROW_TILE", 1)
+        before = threading.active_count()
+        error = RuntimeError("tile 1 failed at layer 2")
+        waiting, raised = threading.Event(), []
+
+        def draw(c, l, a, b):
+            return (np.full((b - a, 1, 1), float(a)),)
+
+        def step(x, eps, l):
+            tile = eps[0][0, 0, 0]
+            if (l, tile) == (2, 2.0):
+                waiting.set()
+            if (l, tile) == (2, 1.0):
+                assert waiting.wait(10)
+                time.sleep(0.05)
+                raise error
+            return x
+
+        def call():
+            try:
+                _propagate(lambda c, a, b: np.zeros((1, 1)), (1, 1), {0: 6},
+                           5, 1.0, step, draw)
+            except RuntimeError as failure:
+                raised.append(failure)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert raised == [error]
         assert threading.active_count() == before
 
 

@@ -93,6 +93,18 @@ class TestKde:
         with pytest.raises(DegenerateDistributionError):
             kde1d(np.full(100, 2.0), np.array([0.0]))
 
+    def test_blocks_keep_the_bits_of_the_whole_grid(self):
+        # the grid is evaluated a block of points at a time; each point's
+        # density is the whole (grid x samples) product's, bit for bit
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(1024)
+        grid = np.linspace(-3, 3, 256)
+        k = kde1d(x, grid)
+        z = (grid[:, None] - x[None, :]) / k.bandwidth
+        whole = np.exp(-0.5 * z * z).sum(axis=1) / (
+            x.size * k.bandwidth * np.sqrt(2 * np.pi))
+        assert np.array_equal(k.density, whole)
+
     def test_integrates_to_one(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(2_000)
