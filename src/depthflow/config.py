@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,16 +44,33 @@ class SeedSpec:
 def make_rng(seed: SeedSpec) -> np.random.Generator:
     """Build the generator for one stream.
 
-    The SFC64 seed is the first 128 bits of SHA-256 over the canonical
-    encoding of the spec, read little-endian, so streams with distinct ids
-    are independent and the mapping is stable across platforms. A numpy
-    release that changed SFC64's seeding or the normal sampler would change
-    every stream; ``tests/test_laws.py`` pins the first normals of one.
+    SFC64's state is the first three little-endian 64-bit words of SHA-256
+    over the canonical encoding of the spec, so streams with distinct ids
+    are independent and the mapping is stable across platforms. numpy's
+    own SFC64 seeding still runs on them (counter 1, 12 outputs dropped).
+    A numpy release that changed that seeding or the normal sampler would
+    change every stream; ``tests/test_laws.py`` pins the first normals of
+    one.
     """
     payload = f"{seed.master}|{seed.experiment}|{seed.replicate}|{seed.layer}"
-    digest = hashlib.sha256(payload.encode()).digest()
-    return np.random.Generator(
-        np.random.SFC64(int.from_bytes(digest[:16], "little")))
+    return _digest_rng()(hashlib.sha256(payload.encode()).digest())
+
+
+@lru_cache(maxsize=1)
+def _digest_rng():
+    """digest -> generator, built on first use: loading ``numpy.random``
+    costs about 13 ms, which a CLI run that draws nothing need not pay."""
+    from numpy.random import SFC64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class DigestSeed(ISeedSequence):
+        def __init__(self, digest):
+            self.digest = digest
+
+        def generate_state(self, n_words, dtype=np.uint64):
+            return np.frombuffer(self.digest, "<u8", count=n_words)
+
+    return lambda digest: Generator(SFC64(DigestSeed(digest)))
 
 
 @dataclass(frozen=True)

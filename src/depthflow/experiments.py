@@ -24,8 +24,9 @@ from .config import ModelConfig, SeedSpec, make_rng
 from .errors import ConfigError, DegenerateDistributionError
 from .laws import FullyIidLaw, scale_eps
 from .resnet import (DRAW_CHUNK, FeedforwardConfig, _batched_psd_factor,
-                     _chunks, _memory_limit, _propagate, _stream_draw,
-                     eoc_solve, feedforward_forward, resnet_forward)
+                     _chunks, _factor_input, _memory_limit, _propagate,
+                     _stream_draw, eoc_solve, feedforward_forward,
+                     resnet_forward)
 from .sde import SdeCoefficients, simulate_paths
 from .stats import corr_over_inputs, kde1d, ks_two_sample, summarize
 from .train import Dataset, TrainConfig, load_idx, sgd_run, toy_blobs
@@ -656,21 +657,24 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
     arm's :func:`_abc_law`, by default at ``AbcSpec``'s bias variance; both
     passes of an arm take the same one.
 
-    Kept draws replay their rows at ``z_values`` bit for bit; their
-    weights are completed for the grid rows as W = Z^T Q^T + E (I - Q Q^T),
-    with Z the draw's rows-first K x D projected noise, psi(X)^T = Q R at
-    ``z_values`` and E a per-draw D x D normal. For
-    i.i.d. Gaussian W, W Q and W (I - Q Q^T) are independent, so W keeps
-    its law given the outputs at ``z_values``. A chunk's input layers and
-    noise are drawn only up to its last kept draw, in row order as the
-    kernel asks for its kept rows: both draws are prefix-invariant.
+    Kept draws replay their rows at ``z_values`` bit for bit, and their
+    parameters [W, b], scaled by :func:`scale_eps` from a standard normal
+    D x (D + 1) G, are completed for the grid rows as
+    G = Z^T Q^T + E (I - Q Q^T). Here A^T = Q R is the sign-fixed QR of
+    :func:`_factor_input` at ``z_values``, Z the draw's projected noise
+    and E a standard normal D x (D + 1) block per layer, read in layer
+    order from one stream per kept draw, keyed by its draw index. G Q and
+    G (I - Q Q^T) are independent, so G keeps its law given the outputs at
+    ``z_values``, at s_b = 0 (A's last column zero) too. A chunk's input
+    layers and noise are drawn only up to its last kept draw, in row
+    order as the kernel asks for its kept rows: both draws are
+    prefix-invariant.
     """
     D, L = spec.width, spec.depth
     phi = get_activation(spec.activation)
     psi = get_activation(spec.inner)
     if law is None:
         law = _abc_law(spec, AbcSpec.eoc_sigma_b2)
-    sw = law.sigma_w / np.sqrt(D)
     complement = seed.with_stream(experiment=seed.experiment + "/complement")
     z = np.asarray(z_values, dtype=float)
     n_obs = z.size
@@ -684,7 +688,7 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         drawn = {rep: int(sel.max()) + 1 for rep, sel in picks.items()}
         z = np.concatenate([z, z_grid])
     layer_noise = _stream_draw(seed, law, "projected", n_obs, drawn)
-    inputs = {}
+    inputs, completions = {}, {}
 
     def prefix(c, a, b):
         # the drawn rows p:q of chunk c up to its run rows a:b, and where
@@ -702,30 +706,38 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
         w = rng.standard_normal((q - p, D))[kept]
         return z[None, :, None] * w[:, None, :]
 
+    def completion(d, l):
+        # layer l's block of draw d's completion stream
+        rng = completions.pop(d, None) or make_rng(
+            complement.with_stream(replicate=d))
+        if l + 1 < L:
+            completions[d] = rng
+        return rng.standard_normal((D, D + 1))
+
     def draw(c, l, a, b):
         p, q, kept = prefix(c, a, b)
-        epsW, epsb = layer_noise(c, l, p, q)
-        E = None
-        if select is not None:
-            E = sw * np.stack([make_rng(complement.with_stream(
-                replicate=c * DRAW_CHUNK + int(d), layer=l)).standard_normal(
-                    (D, D)) for d in picks[c][a:b]])
-        return (*scale_eps(law, epsW[kept], epsb[kept]), E)
+        Z = layer_noise(c, l, p, q)[0][kept]
+        if select is None:
+            return Z, None
+        return Z, np.stack([completion(c * DRAW_CHUNK + int(d), l)
+                            for d in picks[c][a:b]])
 
     def step(x, eps, l):
-        sW, sb, E = eps
+        Z, E = eps
         px = psi(x)
         h = np.empty_like(x)
+        A = _factor_input(law, px[:, :n_obs], 1.0)
         if E is None:
-            R = _batched_psd_factor(px[:, :n_obs])
+            R = _batched_psd_factor(A)
         else:
-            # the same R, bit for bit, as pass 1's _batched_psd_factor
-            Q, R = np.linalg.qr(np.swapaxes(px[:, :n_obs], -1, -2))
-            W = E + (np.swapaxes(sW, -1, -2) - E @ Q) @ np.swapaxes(Q, -1, -2)
+            # the same R, bit for bit, as pass 1's
+            Q, R = _batched_psd_factor(A, reduced=True)
+            G = E + (np.swapaxes(Z, -1, -2) - E @ Q) @ np.swapaxes(Q, -1, -2)
+            W, bias = scale_eps(law, G[..., :D], G[..., D])
             np.matmul(px[:, n_obs:], np.swapaxes(W, -1, -2),
                       out=h[:, n_obs:])
-            h[:, n_obs:] += sb[:, None, :]
-        np.add(np.swapaxes(R, -1, -2) @ sW, sb[:, None, :], out=h[:, :n_obs])
+            h[:, n_obs:] += bias[:, None, :]
+        np.matmul(np.swapaxes(R, -1, -2), Z, out=h[:, :n_obs])
         # h is a temporary, so the residual sum may reuse it in place
         y = phi(h)
         if spec.kind == "diffusion":

@@ -219,15 +219,16 @@ def sample_eps(law: ParamLaw, rng: np.random.Generator, n: int,
     matrix-normal laws read the same (n, D, D + 1) block, whose last
     column is the bias, so an i.i.d. law and its matrix-normal twin draw
     the same bits. ``cols`` = K asks for the projected sampler's i.i.d.
-    noise instead: the views z[:, :K] (n, K, D) and z[:, K] (n, D) of one
-    rows-first (n, K + 1, D) block, so each draw's rows are contiguous.
+    noise instead: one rows-first (n, K, D) block Z, so each draw's rows
+    are contiguous, and an empty (n, 0) second array. The projected draw
+    has no bias row: its factor carries the bias
+    (:func:`depthflow.resnet._layer_increment`).
     """
     D = law.dim
     if cols is not None:
         if not isinstance(law, FullyIidLaw):
             raise ConfigError("only the i.i.d. law draws projected noise")
-        z = rng.standard_normal((n, cols + 1, D))
-        return z[:, :cols], z[:, cols]
+        return rng.standard_normal((n, cols, D)), np.empty((n, 0))
     if isinstance(law, GeneralGaussianLaw):
         z = rng.standard_normal((n, D * D + D, 1))
         vec = law.weight_factor @ z[:, :D * D]
@@ -249,7 +250,10 @@ def scale_eps(law: ParamLaw, epsW: np.ndarray, epsb: np.ndarray):
 
     Only the fully i.i.d. law scales here (sigma_w/sqrt(D) on weights,
     sigma_b on biases); the other laws bake the covariance into the noise.
-    Returns the two arrays it was given.
+    The projected draw scales its factor's columns [psi(x), 1] instead:
+    given sqrt(dt) twice, as scalars, this returns their two scales
+    (:func:`depthflow.resnet._factor_input`). Returns the two arrays it
+    was given, or the scaled scalars.
     """
     if isinstance(law, FullyIidLaw):
         epsW *= law.sigma_w / np.sqrt(law.dim)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -111,14 +112,44 @@ def _freeze_diverged(x_new, x_old, diverged):
     return np.where(diverged[..., None], x_old, x_new), diverged
 
 
-def _batched_psd_factor(psi_x: np.ndarray) -> np.ndarray:
-    """Triangular factors R with R^T R = psi_x psi_x^T, one per draw.
-
-    ``psi_x`` is (chunk, N, D); R is (chunk, min(N, D), N), from the thin
-    QR factorization psi_x^T = Q R. Rank-deficient inputs need no special
-    case: the trailing rows of R are then zero up to rounding.
+def _batched_psd_factor(a: np.ndarray, reduced: bool = False):
+    """Triangular factors R with R^T R = a a^T, one per draw, from the thin
+    QR factorization a^T = Q R of the (chunk, N, M) ``a``: R is
+    (chunk, min(N, M), N). Rank-deficient inputs need no special case.
+    Each row of R is flipped to a diagonal >= 0 (a zero diagonal counts as
+    +): the QR's own signs follow the states', so R could flip between two
+    nearby states, and S Z has Z's law for any +-1 diagonal S. With
+    ``reduced`` it returns (Q, R), Q's columns flipped alike.
     """
-    return np.linalg.qr(np.swapaxes(psi_x, -1, -2), mode="r")
+    at = np.swapaxes(a, -1, -2)
+    Q, R = np.linalg.qr(at) if reduced else (None, np.linalg.qr(at, mode="r"))
+    sign = np.where(np.diagonal(R, axis1=-2, axis2=-1) < 0, -1.0, 1.0)
+    R *= sign[..., None]
+    if not reduced:
+        return R
+    Q *= sign[..., None, :]
+    return Q, R
+
+
+# per thread: a fresh tile-sized array per layer would let the allocator
+# return the memory to the system and fault it in again every layer
+_scratch = threading.local()
+
+
+def _factor_input(law: FullyIidLaw, px: np.ndarray, dt: float) -> np.ndarray:
+    """A = sqrt(dt) [s_w/sqrt(D) psi(x), s_b 1] for (chunk, N, D) states
+    ``px``, whose A A^T is the covariance of each output coordinate of the
+    projected increment. It lives in a buffer of the calling thread, until
+    that thread's next call."""
+    shape = px.shape[:-1] + (px.shape[-1] + 1,)
+    size = math.prod(shape)
+    if getattr(_scratch, "buf", np.empty(0)).size < size:
+        _scratch.buf = np.empty(size)
+    a = _scratch.buf[:size].reshape(shape)
+    sw, sb = scale_eps(law, np.sqrt(dt), np.sqrt(dt))
+    np.multiply(px, sw, out=a[..., :-1])
+    a[..., -1] = sb
+    return a
 
 
 def _layer_increment(law, eps, px: np.ndarray, mode: str,
@@ -131,16 +162,17 @@ def _layer_increment(law, eps, px: np.ndarray, mode: str,
     draw, and h has the shape of ``px``. ``mode`` is
     :func:`choose_sampler`'s: ``"materialized"`` takes the full D x D
     weight noise; ``"projected"`` (fully i.i.d. law) draws h from its exact
-    Gaussian law given the states, as R^T Z with R =
-    :func:`_batched_psd_factor` of ``px`` and Z the min(N, D) x D normal.
+    Gaussian law given the states, as R^T Z, with R the sign-fixed
+    :func:`_batched_psd_factor` of :func:`_factor_input` and Z the
+    rows-first min(N, D + 1) x D standard normal block. The bias and the
+    scales ride in R, so Z has no bias row, h takes no pass but the
+    product, and the same Z gives nearby states nearby increments.
     """
+    if mode == "projected":
+        R = _batched_psd_factor(_factor_input(law, px, dt))
+        return np.swapaxes(R, -1, -2) @ eps[0]
     sqdt = np.sqrt(dt)
     sW, sb = scale_eps(law, *eps)
-    if mode == "projected":
-        h = np.swapaxes(_batched_psd_factor(px), -1, -2) @ sW
-        h += sb[:, None, :]
-        h *= sqdt
-        return h
     # in place, here and below: a fresh (chunk, D, D) or (chunk, N, D)
     # temporary per operation costs page faults and time at large
     # chunk x N x D
@@ -180,7 +212,7 @@ def _stream_draw(seed: SeedSpec, law, mode: str, n_inputs: int, rows: dict):
     ``seed.with_stream(replicate=c, layer=l)``, whose generator is kept
     until row ``rows[c]``. Read in pieces, in row order, they are the rows
     of one whole call, bit for bit."""
-    cols = min(n_inputs, law.dim) if mode == "projected" else None
+    cols = min(n_inputs, law.dim + 1) if mode == "projected" else None
     live = {}
 
     def draw(c, l, a, b):
@@ -245,9 +277,6 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     in physical memory is refused with a :class:`ConfigError` that states
     both numbers.
     """
-    # imported here: only the kernel starts threads
-    import threading
-
     N, D = shape
     store = slice(None) if coords is None else coords
     keep = _store_plan(depth, store_stride)
@@ -275,7 +304,7 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     # worker, four tile-sized arrays (state, increment, step output, guard
     # copy) and the tile's noise, at least the projected draw's
     need = 8 * (math.prod(stored)
-                + workers * size * (4 * N * D + (min(N, D) + 1) * D))
+                + workers * size * (4 * N * D + min(N, D + 1) * D))
     limit = _memory_limit()
     if limit is not None and need > limit:
         raise ConfigError(

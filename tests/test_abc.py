@@ -12,9 +12,9 @@ from depthflow.config import SeedSpec, make_rng
 from depthflow.errors import ConfigError
 from depthflow.experiments import (ModelSpec, _abc_outputs, parse_config,
                                    run_experiment)
-from depthflow.laws import FullyIidLaw, sample_eps, scale_eps
-from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, _batched_psd_factor,
-                              _freeze_diverged, eoc_solve)
+from depthflow.laws import FullyIidLaw, sample_eps
+from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, _freeze_diverged,
+                              eoc_solve)
 from depthflow.stats import ks_two_sample
 
 GRID = np.linspace(-2.0, 2.0, 9)
@@ -68,7 +68,7 @@ def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
         sigma_w2, sigma_b2 = spec.sigma_w2 * dt, spec.sigma_b2 * dt
     law = FullyIidLaw(sigma_w=float(np.sqrt(sigma_w2)),
                       sigma_b=float(np.sqrt(sigma_b2)), dim=D)
-    sw = law.sigma_w / np.sqrt(D)
+    sw, sb = law.sigma_w / np.sqrt(D), law.sigma_b
     complement = seed.with_stream(experiment=seed.experiment + "/complement")
 
     def step(x, h, div):
@@ -97,33 +97,38 @@ def serial_abc_outputs(spec, z_values, seed, n_draws, eoc_sigma_b2=0.05,
         if select is not None:
             g = z_grid[None, :, None] * W_I[:, None, :]
             gdiv = np.zeros(g.shape[:2], dtype=bool)
+            # one completion stream per kept draw, read layer by layer
+            completions = [make_rng(complement.with_stream(
+                replicate=start + int(d))) for d in sel]
         for l in range(L):
             rng = make_rng(seed.with_stream(replicate=rep, layer=l))
-            if select is None:
-                R = _batched_psd_factor(psi(x))
-            else:
-                Q, R = np.linalg.qr(np.swapaxes(psi(x), -1, -2))
-            epsW, epsb = sample_eps(law, rng, chunk, cols=R.shape[-2])
-            sW, sb = scale_eps(law, epsW[sel], epsb[sel])
+            px = psi(x)
+            A = np.concatenate([sw * px, np.full(px.shape[:-1] + (1,), sb)],
+                               axis=-1)
+            Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
+            # each row of R flipped to a diagonal >= 0, Q's columns alike
+            flip = np.diagonal(R, axis1=-2, axis2=-1) < 0
+            R[flip] *= -1.0
+            Q = np.where(flip[:, None, :], -Q, Q)
+            Z = sample_eps(law, rng, chunk, cols=R.shape[-2])[0][sel]
             if select is not None:
-                E = sw * np.stack([make_rng(complement.with_stream(
-                    replicate=start + int(d), layer=l)).standard_normal((D, D))
-                    for d in sel])
-                W = E + (np.swapaxes(sW, -1, -2) - E @ Q) \
+                E = np.stack([c.standard_normal((D, D + 1))
+                              for c in completions])
+                G = E + (np.swapaxes(Z, -1, -2) - E @ Q) \
                     @ np.swapaxes(Q, -1, -2)
-                hg = psi(g) @ np.swapaxes(W, -1, -2)
-                hg += sb[:, None, :]
+                hg = psi(g) @ np.swapaxes(sw * G[..., :D], -1, -2)
+                hg += sb * G[..., D][:, None, :]
                 g, gdiv = step(g, hg, gdiv)
-            h = np.swapaxes(R, -1, -2) @ sW + sb[:, None, :]
-            x, div = step(x, h, div)
+            x, div = step(x, np.swapaxes(R, -1, -2) @ Z, div)
         pieces.append((x if select is None else g)[:, :, 0])
     return np.concatenate(pieces, axis=0)
 
 
-def abc_spec(kind, width=16, depth=16):
+def abc_spec(kind, width=16, depth=16, sigma_b2=10.0):
     # the shipped abc_regression model at a smaller size
     return ModelSpec(kind=kind, activation="tanh", inner="identity",
-                     sigma_w2=10.0, sigma_b2=10.0, depth=depth, width=width)
+                     sigma_w2=10.0, sigma_b2=sigma_b2, depth=depth,
+                     width=width)
 
 
 def select_all(n_draws):
@@ -171,10 +176,17 @@ LAW_CASES = [
 ]
 
 
-@pytest.mark.parametrize("arm, z_obs, width", LAW_CASES)
-def test_completed_functions_match_materialized_in_law(arm, z_obs, width):
+@pytest.mark.parametrize("arm, z_obs, width, sigma_b2", [
+    *(pytest.param(arm, z_obs, width, 10.0, id=f"{arm}-z_obs{k}-{width}")
+      for k, (arm, z_obs, width) in enumerate(LAW_CASES)),
+    # no bias: the factored matrix's bias column is zero, and the
+    # observations z = 0 and 1 embed to a rank-one input
+    pytest.param("diffusion", (0.0, 1.0), 16, 0.0,
+                 id="diffusion-no_bias-16")])
+def test_completed_functions_match_materialized_in_law(arm, z_obs, width,
+                                                       sigma_b2):
     # kept from every draw, the completed functions are prior draws
-    spec = abc_spec(arm, width=width)
+    spec = abc_spec(arm, width=width, sigma_b2=sigma_b2)
     n = 2048
     a = materialized_abc_outputs(spec, GRID, SeedSpec(31, "oracle"), n)
     b = _abc_outputs(spec, np.array(z_obs), SeedSpec(37, "abc"), n,
@@ -304,14 +316,27 @@ def test_repeated_run_writes_identical_files(tmp_path):
 
 def test_completion_draw_failure_raised_and_worker_stopped(tmp_path,
                                                            monkeypatch):
-    # the per-draw complement E is drawn on the kernel's worker thread
+    # each kept draw's completion stream is read on the kernel's worker
+    # thread, one block per layer; draw 2's (a prior function, so kept in
+    # every run) fails at layer 2
     before = threading.active_count()
     error = RuntimeError("complement draw failed at layer 2")
 
+    class FailingStream:
+        def __init__(self, rng):
+            self.rng, self.reads = rng, 0
+
+        def standard_normal(self, shape):
+            self.reads += 1
+            if self.reads == 3:
+                raise error
+            return self.rng.standard_normal(shape)
+
     def failing_rng(seed):
-        if seed.experiment.endswith("/complement") and seed.layer == 2:
-            raise error
-        return make_rng(seed)
+        rng = make_rng(seed)
+        if seed.experiment.endswith("/complement") and seed.replicate == 2:
+            return FailingStream(rng)
+        return rng
 
     monkeypatch.setattr("depthflow.experiments.make_rng", failing_rng)
     with pytest.raises(RuntimeError) as info:

@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -12,6 +15,7 @@ import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import depthflow
 from depthflow import (ExperimentConfig, apply_overrides, load_config,
                        parse_config, run_experiment, save_config)
 from depthflow import experiments
@@ -461,6 +465,20 @@ class TestRunners:
         assert outs[0] == outs[1]
 
 
+def test_cli_import_loads_no_numpy_random():
+    # loading numpy.random costs about 13 ms of every run's set-up;
+    # make_rng loads it on the first draw
+    probe = ("import sys, depthflow.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith('numpy.random')))")
+    src = str(Path(depthflow.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestCliEntry:
     def test_success_exit_code_and_stdout(self, tmp_path, capsys):
         path = write_config(tmp_path,
@@ -661,7 +679,7 @@ class TestCliEntry:
 
     @staticmethod
     def swish_config(kind, out, sigma2):
-        # swish at sigma^2 = 50: every draw passes HARD_CAP at some input;
+        # swish at sigma^2 = 60: every draw passes HARD_CAP at some input;
         # at 20, a few do
         raw = tiny_overrides(kind, out, inputs={"values": [-1.0, 0.0, 1.0]},
                              draws=400, functions=400)
@@ -671,7 +689,7 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("kind", ["function_space", "corr_heatmap"])
     def test_every_draw_diverged_fails(self, tmp_path, capsys, kind):
-        raw = self.swish_config(kind, tmp_path / "o", 50.0)
+        raw = self.swish_config(kind, tmp_path / "o", 60.0)
         code = entry([kind, "--config", str(write_config(tmp_path, raw))])
         assert code == 4
         err = json.loads(capsys.readouterr().err)

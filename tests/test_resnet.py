@@ -18,9 +18,9 @@ from depthflow.config import make_rng
 from depthflow.errors import ConfigError
 from depthflow.laws import sample_eps, scale_eps
 from depthflow.resnet import (DRAW_CHUNK, HARD_CAP, ROW_TILE, PathBatch,
-                              _batched_psd_factor, _chunks, _freeze_diverged,
-                              _layer_increment, _propagate, _store_plan,
-                              _stream_draw, choose_sampler)
+                              _batched_psd_factor, _chunks, _factor_input,
+                              _freeze_diverged, _layer_increment, _propagate,
+                              _store_plan, _stream_draw, choose_sampler)
 
 
 def iid_model(depth, width, sigma_w=1.0, sigma_b=1.0, phi=TANH, psi=IDENTITY,
@@ -251,6 +251,8 @@ class TestProjectedFactor:
         R = _batched_psd_factor(px)
         N, D = px.shape[-2:]
         assert R.shape == px.shape[:-2] + (min(N, D), N)
+        # the sign is fixed: a zero diagonal counts as +
+        assert (np.diagonal(R, axis1=-2, axis2=-1) >= 0).all()
         G = px @ np.swapaxes(px, -1, -2)
         RtR = np.swapaxes(R, -1, -2) @ R
         scale = max(1.0, float(np.abs(G).max()))
@@ -278,6 +280,46 @@ class TestProjectedFactor:
 
     def test_more_inputs_than_width(self):
         self.check(np.random.default_rng(2).standard_normal((2, 10, 4)))
+
+    @pytest.mark.parametrize("case", ["generic", "zero_input", "collinear",
+                                      "sigma_b0", "sigma_w0"])
+    def test_factor_input_covariance(self, case):
+        # the projected draw factors A = sqrt(dt) [s_w/sqrt(D) psi, s_b 1],
+        # whose A A^T is each output coordinate's increment covariance
+        D, dt = 16, 0.25
+        sigma_w = 0.0 if case == "sigma_w0" else 1.3
+        sigma_b = 0.0 if case == "sigma_b0" else 0.7
+        law = FullyIidLaw(sigma_w=sigma_w, sigma_b=sigma_b, dim=D)
+        px = np.tanh(np.random.default_rng(3).standard_normal((5, 3, D)))
+        if case == "zero_input":
+            px[:, 1] = 0.0
+        elif case == "collinear":
+            # the embedded scalar inputs z * 1: rank one
+            px = np.linspace(-1.0, 1.0, 3)[:, None] * np.ones((5, 3, D))
+        A = _factor_input(law, px, dt)
+        assert A.shape == (5, 3, D + 1)
+        want = dt * (sigma_w ** 2 / D * px @ np.swapaxes(px, -1, -2)
+                     + sigma_b ** 2)
+        assert np.allclose(A @ np.swapaxes(A, -1, -2), want, rtol=1e-13,
+                           atol=1e-15)
+        self.check(A)
+
+    def test_same_noise_is_continuous_across_a_householder_flip(self):
+        # LAPACK's Householder QR gives R[0, 0] the sign opposite to the
+        # factored matrix's first entry, psi(x)[0] of input 0 here. Two
+        # states 1e-9 apart on either side of 0 take nearby increments from
+        # the same noise only once R's sign is fixed
+        D, N = 16, 2
+        law = FullyIidLaw(sigma_w=1.3, sigma_b=0.7, dim=D)
+        x = np.random.default_rng(7).standard_normal((1, N, D))
+        y = x.copy()
+        x[0, 0, 0], y[0, 0, 0] = 0.5e-9, -0.5e-9
+        eps = _stream_draw(SeedSpec(5, "flip"), law, "projected", N,
+                           {0: 1})(0, 0, 0, 1)
+        hx = _layer_increment(law, eps, x, "projected", 0.25)
+        hy = _layer_increment(law, eps, y, "projected", 0.25)
+        assert np.abs(hx).max() > 0.1
+        assert np.abs(hx - hy).max() <= 1e-6
 
 
 def _old_freeze_diverged(x_new, x_old, diverged, cap):
