@@ -692,10 +692,11 @@ def _abc_outputs(spec: ModelSpec, z_values: np.ndarray, seed: SeedSpec,
 
     def prefix(c, a, b):
         # the drawn rows p:q of chunk c up to its run rows a:b, and where
-        # those sit among them
+        # those sit among them: all of them (pass 1 always) as a slice, so
+        # the noise is a view, not a copy
         sel = picks[c]
-        p = int(sel[a - 1]) + 1 if a else 0
-        return p, int(sel[b - 1]) + 1, sel[a:b] - p
+        p, q = int(sel[a - 1]) + 1 if a else 0, int(sel[b - 1]) + 1
+        return p, q, slice(None) if q - p == b - a else sel[a:b] - p
 
     def start(c, a, b):
         p, q, kept = prefix(c, a, b)

@@ -341,7 +341,12 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
                 eps = parts[0] if len(parts) == 1 else tuple(
                     None if e[0] is None else np.concatenate(e)
                     for e in zip(*parts))
+                # the noise dies with the step, not at the next draw: held
+                # over it, it left tile-sized blocks free at the arena's top
+                # that glibc gave back and faulted in again most layers
+                del parts
                 x, div = _freeze_diverged(step(x, eps, k - 1), x, div)
+                del eps
             else:
                 x = np.concatenate([np.broadcast_to(p, (b - a, N, D))
                                     for p, (_, a, b) in zip(parts, tiles[t])])
