@@ -3,15 +3,16 @@
 Usage::
 
     python3 bench/record.py abc:11:10 abc:23:3 sanity:11:5 \\
-        [--head REV] [--base REV] [--seconds S] [--out PATH]
+        [--base REV] [--out PATH]
 
 Each plan item ``WORKLOAD:SEED:PAIRS`` asks for PAIRS pairs of
 ``perfbench/run.py --workload WORKLOAD --seed SEED --trace 0`` runs, one on
-the base tree and one on the head tree. Both trees are extracted from git
-with ``git archive`` into a temporary directory, so uncommitted files take
-no part. The head defaults to ``HEAD`` and the base to the head's first
-parent. The order flips every pair (base first, then head first), so a
-drift of the host over the recording falls on both sides alike.
+the base tree and one on the head tree, each for ``BENCHMARK.json``'s
+``run_seconds``. The head is ``HEAD`` and the base defaults to its first
+parent. Both trees are extracted from git with ``git archive`` into a
+temporary directory, so uncommitted files take no part. The order flips
+every pair (base first, then head first), so a drift of the host over the
+recording falls on both sides alike.
 
 The record, ``BENCH_<head sha>.json`` in this directory unless ``--out``
 says otherwise, holds every pair, and for each (workload, seed) and each
@@ -174,15 +175,12 @@ def parse_plan(items: list) -> list:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("plan", nargs="+", help="WORKLOAD:SEED:PAIRS")
-    parser.add_argument("--head", default="HEAD")
     parser.add_argument("--base", default=None,
                         help="default: the head's first parent")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="--seconds of each perfbench invocation")
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     plan = parse_plan(args.plan)
-    head = git("rev-parse", args.head).decode().strip()
+    head = git("rev-parse", "HEAD").decode().strip()
     base = git("rev-parse", args.base or f"{head}^").decode().strip()
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
@@ -191,7 +189,7 @@ def main(argv=None) -> int:
                  for side, rev in (("base", base), ("head", head))}
 
         def run(tree, workload, seed):
-            result = perfbench(tree, workload, seed, args.seconds)
+            result = perfbench(tree, workload, seed, bench["run_seconds"])
             side = "base" if tree == trees["base"] else "head"
             status = "ok" if result.get("correct") else "FAILED"
             run_s = result.get("metrics", {}).get("run_s", {}).get("value")
@@ -206,7 +204,7 @@ def main(argv=None) -> int:
          for s in ("base", "head") if "environment" in p[s]), None)
     record = {
         "base_sha": base, "head_sha": head, "started": started,
-        "seconds": args.seconds, "environment": env,
+        "seconds": bench["run_seconds"], "environment": env,
         "summary": summarize(pairs, bench["end_to_end"]),
         "pairs": pairs,
     }

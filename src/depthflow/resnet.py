@@ -302,9 +302,10 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     workers = min(cpus, len(tiles))
     # float64 numbers held at once, at least: the stored states and, per
     # worker, four tile-sized arrays (state, increment, step output, guard
-    # copy) and the tile's noise, at least the projected draw's
-    need = 8 * (math.prod(stored)
-                + workers * size * (4 * N * D + min(N, D + 1) * D))
+    # copy) and the tile's noise: the projected draw's with its factor
+    # input, or the materialized draw's if that is less
+    noise = min(min(N, D + 1) * D + N * (D + 1), D * (D + 1))
+    need = 8 * (math.prod(stored) + workers * size * (4 * N * D + noise))
     limit = _memory_limit()
     if limit is not None and need > limit:
         raise ConfigError(

@@ -973,6 +973,20 @@ class TestRowTiles:
             resnet_forward(iid_model(1, D), x0, rows,
                            SeedSpec(79, "tiles/limit"), coords=[0])
 
+    def test_memory_estimate_counts_the_factor_input(self, monkeypatch):
+        # a projected run on 1 CPU is one 256-row tile. Per row it holds
+        # the four state-sized arrays, the N x D noise block and the
+        # N x (D + 1) factor input
+        monkeypatch.setattr("depthflow.resnet._available_cpus", lambda: 1)
+        monkeypatch.setattr("depthflow.resnet._memory_limit", lambda: 1000)
+        rows, N, D = 256, 2, 64
+        with pytest.raises(ConfigError) as info:
+            resnet_forward(iid_model(1, D), np.ones((N, D)), rows,
+                           SeedSpec(79, "tiles/factor"), coords=[0])
+        stored = rows * N * 2
+        tile = rows * (4 * N * D + N * D + N * (D + 1))
+        assert f"at least {8 * (stored + tile)} bytes" in str(info.value)
+
 
 class TestBatchPacking:
     """Consecutive chunks of ``rows`` are packed into one tile while it
