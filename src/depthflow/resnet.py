@@ -3,11 +3,12 @@
 Implements the identity-ResNet recursion with depth-scaled random
 parameters and the i.i.d. feedforward edge-of-chaos baseline. Both, the
 SDE sampler in :mod:`depthflow.sde` and the two ABC passes run on one
-propagation kernel (:func:`_propagate`). Each caller names the draws that
-run, chunk by chunk, and passes each chunk's initial states, its step,
-its noise, read from streams keyed by (chunk, layer), and the coordinates
-stored. So the output does not depend on how the kernel schedules the
-work (README): it is a serial loop's, bit for bit.
+propagation kernel (:func:`_propagate`); the three samplers enter it
+through :func:`_sample` and differ only in their step. Each caller names
+the draws that run, chunk by chunk, and passes each chunk's initial
+states, its step, its noise, read from streams keyed by (chunk, layer),
+and the coordinates stored. So the output does not depend on how the
+kernel schedules the work (README): it is a serial loop's, bit for bit.
 """
 
 from __future__ import annotations
@@ -380,6 +381,30 @@ def _propagate(start, shape: tuple, rows: dict, depth: int, dt: float,
     return PathBatch(times=keep * dt, states=states, diverged=diverged)
 
 
+def _sample(law, x0_batch: np.ndarray, n_draws: int, depth: int, dt: float,
+            seed: SeedSpec, step, store_stride: int | None = None,
+            coords: list | None = None) -> PathBatch:
+    """The public samplers' one entry: ``depth`` steps of ``step`` from
+    the (N, D) inputs ``x0_batch`` for ``n_draws`` draws of ``law``, the
+    noise read from ``seed``'s streams in :func:`choose_sampler`'s mode.
+    ``step(x, increment, l)`` maps layer l's states to the next, with
+    ``increment(px)`` the layer's :func:`_layer_increment` at states px."""
+    x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
+    N, D = x0_batch.shape
+    if D != law.dim:
+        raise ConfigError(
+            f"x0 rows have length {D}, the law's width is {law.dim}")
+    mode = choose_sampler(law, N, D)
+
+    def layer(x, eps, l):
+        return step(x, lambda px: _layer_increment(law, eps, px, mode, dt), l)
+
+    rows = _chunks(n_draws)
+    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, depth, dt,
+                      layer, _stream_draw(seed, law, mode, N, rows),
+                      store_stride=store_stride, coords=coords)
+
+
 def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
                    seed: SeedSpec, store_stride: int | None = None,
                    coords: list | None = None) -> PathBatch:
@@ -393,23 +418,15 @@ def resnet_forward(config: ModelConfig, x0_batch: np.ndarray, n_draws: int,
     go non-finite or whose norm passes ``HARD_CAP`` are flagged and frozen.
     Only the coordinates ``coords`` are stored, or all of them.
     """
-    x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    N, D = x0_batch.shape
-    if D != config.width:
-        raise ConfigError(f"x0 rows have length {D}, model width is {config.width}")
-    law, dt = config.law, config.dt
     phi, psi = config.phi, config.psi
-    mode = choose_sampler(law, N, D)
 
-    def step(x, eps, l):
-        y = phi(_layer_increment(law, eps, psi(x), mode, dt))
+    def step(x, increment, l):
+        y = phi(increment(psi(x)))
         y += x
         return y
 
-    rows = _chunks(n_draws)
-    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, config.depth, dt,
-                      step, _stream_draw(seed, law, mode, N, rows),
-                      store_stride=store_stride, coords=coords)
+    return _sample(config.law, x0_batch, n_draws, config.depth, config.dt,
+                   seed, step, store_stride, coords)
 
 
 def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
@@ -430,22 +447,15 @@ def feedforward_forward(cfg: FeedforwardConfig, x0_batch: np.ndarray,
     stores its last accepted one. So a net far off the critical point,
     whose pre-activation legitimately passes 1e6, is flagged too.
     """
-    x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    N, D = x0_batch.shape
-    if D != cfg.width:
-        raise ConfigError(f"x0 rows have length {D}, width is {cfg.width}")
     phi = cfg.activation
     law = FullyIidLaw(sigma_w=np.sqrt(cfg.sigma_w2),
-                      sigma_b=np.sqrt(cfg.sigma_b2), dim=D)
-    mode = choose_sampler(law, N, D)
+                      sigma_b=np.sqrt(cfg.sigma_b2), dim=cfg.width)
 
-    def step(h, eps, l):
-        return _layer_increment(law, eps, h if l == 0 else phi(h), mode, 1.0)
+    def step(h, increment, l):
+        return increment(h if l == 0 else phi(h))
 
-    rows = _chunks(n_draws)
-    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, cfg.depth, 1.0,
-                      step, _stream_draw(seed, law, mode, N, rows),
-                      coords=coords)
+    return _sample(law, x0_batch, n_draws, cfg.depth, 1.0, seed, step,
+                   coords=coords)
 
 
 @lru_cache(maxsize=1)
@@ -454,13 +464,17 @@ def _gauss_hermite():
     return np.polynomial.hermite.hermgauss(64)
 
 
+def _gauss_mean(f, q: float) -> float:
+    """E[f(sqrt(q) Z)] for standard normal Z, by Gauss-Hermite quadrature."""
+    x, w = _gauss_hermite()
+    return float((w * f(np.sqrt(2.0 * q) * x)).sum() / np.sqrt(np.pi))
+
+
 def _expect_phi2(activation: Activation, q: float) -> float:
     """E[phi(sqrt(q) Z)^2] for standard normal Z."""
     if activation.name == "relu":
         return 0.5 * q
-    x, w = _gauss_hermite()
-    vals = activation(np.sqrt(2.0 * q) * x) ** 2
-    return float((w * vals).sum() / np.sqrt(np.pi))
+    return _gauss_mean(lambda z: activation(z) ** 2, q)
 
 
 def _expect_dphi2(activation: Activation, q: float) -> float:
@@ -469,11 +483,7 @@ def _expect_dphi2(activation: Activation, q: float) -> float:
         # phi' is an indicator; quadrature of a step function is poor, and
         # the half-Gaussian value is exact.
         return 0.5
-    if activation.name != "tanh":
-        raise ConfigError("eoc_solve supports tanh and relu only")
-    x, w = _gauss_hermite()
-    vals = (1.0 - np.tanh(np.sqrt(2.0 * q) * x) ** 2) ** 2
-    return float((w * vals).sum() / np.sqrt(np.pi))
+    return _gauss_mean(lambda z: activation.deriv(z) ** 2, q)
 
 
 def _variance_fixed_point(activation: Activation, sigma_w2: float,

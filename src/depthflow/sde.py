@@ -8,8 +8,8 @@ increment h = dW psi(x) + db (:func:`depthflow.resnet._layer_increment`),
 one draw per step shared by all inputs, which reproduces both the marginal
 law of each trajectory and the cross-covariation between trajectories of
 different inputs. The drift's mean term rides in h, and only the Ito term
-0.5 phi''(0) diag V(x) dt is added. The increment's sampler is the one
-:func:`depthflow.resnet.choose_sampler` picks for the residual network.
+0.5 phi''(0) diag V(x) dt is added. Both run through
+:func:`depthflow.resnet._sample`, so the sampler and streams are shared.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from .laws import (FullyIidLaw, GeneralGaussianLaw, MatrixNormalLaw, ParamLaw,
                    conditional_variance, psd_sqrt, time_change_rescale)
 # _freeze_diverged and _batched_psd_factor are unused here;
 # perfbench/test_selftest.py looks both up here
-from .resnet import PathBatch, _batched_psd_factor, _chunks, \
-    _freeze_diverged, _layer_increment, _propagate, _stream_draw, \
-    choose_sampler  # noqa: F401
+from .resnet import PathBatch, _batched_psd_factor, _freeze_diverged, \
+    _sample  # noqa: F401
 
 __all__ = [
     "SdeCoefficients", "drift_eval", "diffusion_eval", "simulate_paths",
@@ -135,28 +134,20 @@ def simulate_paths(coeffs: SdeCoefficients, x0_batch: np.ndarray, L: int,
         raise ConfigError("L must be >= 1")
     if not T > 0:
         raise ConfigError("T must be > 0")
-    x0_batch = np.atleast_2d(np.asarray(x0_batch, dtype=float))
-    N, D = x0_batch.shape
-    law = coeffs.law
-    if D != law.dim:
-        raise ConfigError(f"x0 rows have length {D}, law dimension is {law.dim}")
     dt = T / L
-    mode = choose_sampler(law, N, D)
 
-    def step(x, eps, l):
+    def step(x, increment, l):
         px = coeffs.psi(x)
         # built in h's buffer: a step that frees many temporaries at once
         # lets the allocator return the memory to the system and fault it
         # in again every layer
-        h = _layer_increment(law, eps, px, mode, dt)
+        h = increment(px)
         h *= coeffs.phi.dphi0
         h += x + _batched_drift(coeffs, px) * dt
         return h
 
-    rows = _chunks(n_draws)
-    return _propagate(lambda c, a, b: x0_batch, (N, D), rows, L, dt, step,
-                      _stream_draw(seed, law, mode, N, rows),
-                      store_stride=store_stride, coords=coords)
+    return _sample(coeffs.law, x0_batch, n_draws, L, dt, seed, step,
+                   store_stride, coords)
 
 
 def linear_growth_check(coeffs: SdeCoefficients,

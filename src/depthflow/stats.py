@@ -51,11 +51,11 @@ def summarize(samples: np.ndarray, levels=(0.05, 0.5, 0.95)) -> SampleSummary:
     return SampleSummary(n=n, mean=mean, variance=var, quantiles=quants, sem=sem)
 
 
-def ks_two_sample(a: np.ndarray, b: np.ndarray, alpha: float = 0.001):
+def ks_two_sample(a: np.ndarray, b: np.ndarray):
     """Two-sample Kolmogorov-Smirnov statistic and critical threshold.
 
     The statistic is the sup over pooled points of the ECDF gap; the
-    threshold is the asymptotic critical value c(alpha)*sqrt((n+m)/(n*m)).
+    threshold is its asymptotic critical value at alpha = 0.001.
     """
     a = np.sort(np.asarray(a, dtype=float).ravel())
     b = np.sort(np.asarray(b, dtype=float).ravel())
@@ -66,11 +66,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray, alpha: float = 0.001):
     cdf_a = np.searchsorted(a, pooled, side="right") / n
     cdf_b = np.searchsorted(b, pooled, side="right") / m
     stat = float(np.abs(cdf_a - cdf_b).max())
-    if alpha == 0.001:
-        c = KS_C_ALPHA_001
-    else:
-        c = float(np.sqrt(-0.5 * np.log(alpha / 2.0)))
-    threshold = c * np.sqrt((n + m) / (n * m))
+    threshold = KS_C_ALPHA_001 * np.sqrt((n + m) / (n * m))
     return stat, float(threshold)
 
 

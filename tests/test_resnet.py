@@ -200,6 +200,13 @@ class TestResnetForward:
         with pytest.raises(ConfigError):
             resnet_forward(model, np.zeros((1, 2)), 1, SeedSpec(0))
 
+    def test_law_narrower_than_model_rejected(self):
+        # x0 fits the model's width but not its law's: a ConfigError that
+        # names both widths, not a broadcast error raised on a worker
+        model = replace(iid_model(4, 8), law=FullyIidLaw(1.0, 1.0, dim=1))
+        with pytest.raises(ConfigError, match="length 8, the law's width is 1"):
+            resnet_forward(model, np.ones((2, 8)), 4, SeedSpec(1, "x"))
+
 
 class TestSamplerChoice:
     def test_iid_law_with_few_inputs_is_projected(self):
@@ -579,7 +586,6 @@ class TestNoiseLookahead:
                                  law_kind):
         got = self.run(sampler, noise, law_kind)
         monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
-        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
         want = self.run(sampler, noise, law_kind)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -687,7 +693,6 @@ class TestRowBlocks:
         seen = set()
         spy = meeting_spy(_layer_increment, seen)
         monkeypatch.setattr("depthflow.resnet._layer_increment", spy)
-        monkeypatch.setattr("depthflow.sde._layer_increment", spy)
         return seen
 
     @staticmethod
@@ -725,7 +730,6 @@ class TestRowBlocks:
             sys.setswitchinterval(interval)
         assert len(step_threads) > 1
         monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
-        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
         want = self.run(sampler, 9, 4)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -750,7 +754,6 @@ class TestRowBlocks:
             return spy
 
         monkeypatch.setattr("depthflow.resnet._stream_draw", stream_spy)
-        monkeypatch.setattr("depthflow.sde._stream_draw", stream_spy)
         self.run(sampler, 2, 8)
         assert threading.get_ident() not in {t for t, _, _ in calls}
         tiles = []
@@ -875,7 +878,6 @@ class TestRowTiles:
         got = TestRowBlocks.run(sampler, 9, 4)
         assert tile_rows == [6] * 4 * 100
         monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
-        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
         want = TestRowBlocks.run(sampler, 9, 4)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -1205,7 +1207,6 @@ class TestTileStreams:
         assert len(threads) > 1
         assert tiles == [10] * 100
         monkeypatch.setattr("depthflow.resnet._propagate", serial_propagate)
-        monkeypatch.setattr("depthflow.sde._propagate", serial_propagate)
         want = self.run(sampler, law_kind)
         assert want.diverged.any() and not want.diverged.all()
         assert np.array_equal(got.states, want.states)
@@ -1340,6 +1341,11 @@ class TestEocSolve:
                 hi = mid
         oracle = 0.5 * (lo + hi)
         assert eoc_solve(TANH, sigma_b2) == pytest.approx(oracle, abs=1e-6)
+
+    def test_tanh_bits_pinned(self):
+        # the quadrature's value, bit for bit: a change to the nodes, the
+        # derivative or the order of the sums shows here first
+        assert eoc_solve(TANH, 0.05) == 1.7609546410773884
 
     def test_swish_rejected(self):
         with pytest.raises(ConfigError):

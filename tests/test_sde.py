@@ -283,34 +283,45 @@ class TestPathwiseCoupling:
     arXiv:1905.11065; for the Euler scheme's strong order, Kloeden and
     Platen, 1992, ch. 10).
 
-    The shipped sanity models at width 32, inputs 0 and 1, horizon 1 and
-    512 draws, on the projected draw. Over 31 seeds the RMS gap of x_T
-    over RMS x_T read, at L = 8, 32, 128, 512: slope of log gap against
-    log L, tanh -0.818 to -0.804 (sd 0.004), swish -0.463 to -0.454 (sd
-    0.002); gap at L = 512, tanh 0.0105 to 0.0112, swish 0.0260 to
-    0.0269. tanh falls at close to order 1, since tanh''(0) = 0 removes the
-    Ito term's error, and swish at order 1/2. A projected draw whose
-    factor's signs follow the states instead does not couple: tanh's slope
-    read -0.11 and its gap 0.28, swish's -0.20 and 0.11. The gates sit
-    far outside the sweep's spread and well inside that failure.
+    The shipped sanity models at width 32, inputs 0 and 1, horizon 1, on
+    the projected draw at 512 draws and on the materialized draw (the
+    i.i.d. law's matrix-normal twin) at 256. Over 31 seeds the RMS gap of
+    x_T over RMS x_T read, at L = 8, 32, 128, 512: slope of log gap
+    against log L, projected tanh -0.818 to -0.804 (sd 0.004), swish
+    -0.463 to -0.454 (sd 0.002), materialized tanh -0.820 to -0.797 (sd
+    0.006), swish -0.463 to -0.450 (sd 0.003); gap at L = 512, projected
+    tanh 0.0105 to 0.0112, swish 0.0260 to 0.0269, materialized tanh
+    0.0113 to 0.0122, swish 0.0270 to 0.0281. tanh falls at close to
+    order 1, since tanh''(0) = 0 removes the Ito term's error, and swish
+    at order 1/2. A projected draw whose factor's signs follow the states
+    instead does not couple: tanh's slope read -0.11 and its gap 0.28,
+    swish's -0.20 and 0.11. The gates sit far outside the sweeps' spread
+    and well inside that failure.
     """
 
     DEPTHS = (8, 32, 128, 512)
 
-    @pytest.mark.parametrize("phi, max_slope, max_gap", [
-        (TANH, -0.7, 0.02), (SWISH, -0.4, 0.04)], ids=["tanh", "swish"])
-    def test_gap_shrinks_with_depth(self, phi, max_slope, max_gap):
+    @pytest.mark.parametrize("phi, draw, n_draws, max_slope, max_gap", [
+        (TANH, "projected", 512, -0.7, 0.02),
+        (SWISH, "projected", 512, -0.4, 0.04),
+        (TANH, "materialized", 256, -0.7, 0.02),
+        (SWISH, "materialized", 256, -0.4, 0.04)],
+        ids=["tanh", "swish", "materialized-tanh", "materialized-swish"])
+    def test_gap_shrinks_with_depth(self, phi, draw, n_draws, max_slope,
+                                    max_gap):
         D, seed = 32, SeedSpec(3, "couple")
         x0 = np.outer([0.0, 1.0], np.ones(D))
-        law = FullyIidLaw(sigma_w=1.0, sigma_b=1.0, dim=D)
-        assert choose_sampler(law, 2, D) == "projected"
+        coeffs = iid_coeffs(D, phi=phi)
+        if draw == "materialized":
+            coeffs = twin_coeffs(coeffs)
+        law = coeffs.law
+        assert choose_sampler(law, 2, D) == draw
         gaps = []
         for L in self.DEPTHS:
             model = ModelConfig(depth=L, width=D, horizon=1.0, phi=phi,
                                 psi=IDENTITY, law=law)
-            net = resnet_forward(model, x0, 512, seed)
-            sde = simulate_paths(SdeCoefficients(law, phi, IDENTITY), x0, L,
-                                 1.0, 512, seed)
+            net = resnet_forward(model, x0, n_draws, seed)
+            sde = simulate_paths(coeffs, x0, L, 1.0, n_draws, seed)
             # draws that diverge on either side are left out of both
             ok = ~(net.diverged.any(axis=1) | sde.diverged.any(axis=1))
             assert ok.mean() > 0.99
