@@ -95,6 +95,9 @@ class ModelConfig:
             raise ConfigError(f"width must be >= 1, got {self.width}")
         if not self.horizon > 0:
             raise ConfigError(f"horizon must be > 0, got {self.horizon}")
+        if self.law.dim != self.width:
+            raise ConfigError(f"the law's width is {self.law.dim}, the "
+                              f"model's is {self.width}")
 
     @property
     def dt(self) -> float:

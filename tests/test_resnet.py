@@ -200,12 +200,15 @@ class TestResnetForward:
         with pytest.raises(ConfigError):
             resnet_forward(model, np.zeros((1, 2)), 1, SeedSpec(0))
 
-    def test_law_narrower_than_model_rejected(self):
-        # x0 fits the model's width but not its law's: a ConfigError that
-        # names both widths, not a broadcast error raised on a worker
-        model = replace(iid_model(4, 8), law=FullyIidLaw(1.0, 1.0, dim=1))
-        with pytest.raises(ConfigError, match="length 8, the law's width is 1"):
-            resnet_forward(model, np.ones((2, 8)), 4, SeedSpec(1, "x"))
+    @pytest.mark.parametrize("x0_width", [8, 1])
+    def test_law_narrower_than_model_rejected(self, x0_width):
+        # a ConfigError that names both widths, whichever the inputs fit:
+        # not a broadcast error raised on a worker, nor a width-1 run
+        with pytest.raises(ConfigError,
+                           match="law's width is 1, the model's is 8"):
+            resnet_forward(replace(iid_model(4, 8),
+                                   law=FullyIidLaw(1.0, 1.0, dim=1)),
+                           np.ones((2, x0_width)), 4, SeedSpec(1, "x"))
 
 
 class TestSamplerChoice:
